@@ -406,19 +406,15 @@ class LieElement:
     __mul__ = __rmul__
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for c, w in [(self.coeffs[w], w) for w in sorted(self.coeffs)]:
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = f"[{w}]" if mag == 1 else f"{mag}[{w}]"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        """Terms in word order, e.g. ``2[aabbb] - [ababb]``; also the LaTeX form."""
+        text = ""
+        for c, w in self.terms():
+            body = f"[{w}]" if abs(c) == 1 else f"{abs(c)}[{w}]"
+            if text:
+                text += f" - {body}" if c < 0 else f" + {body}"
+            else:
+                text = f"-{body}" if c < 0 else body
+        return text or "0"
 
     def __repr__(self) -> str:
         return f"LieElement({self.bidegree}, {self})"
@@ -571,6 +567,10 @@ def engel(n: int) -> LieElement:
 # term := ["-"] [INT "*"] atom
 # atom := "a" | "b" | "[" expr { "," expr }+ "]"
 
+# Deepest bracket tree parse_expr accepts: parsing and normalization take stack
+# frames per level, and much deeper input exhausts the default recursion limit.
+MAX_DEPTH = 256
+
 
 def parse_expr(text: str) -> BracketExpr:
     """Parse the bracket-expression grammar, e.g. ``3*[a,b] + -1*[b,a]``.
@@ -579,7 +579,7 @@ def parse_expr(text: str) -> BracketExpr:
     ``[x,y,z]`` means ``[[x,y],z]``.
     """
     parser = _Parser(text)
-    expr = parser.parse_sum()
+    expr, _ = parser.parse_sum()
     parser.expect_end()
     return expr
 
@@ -588,6 +588,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nesting = 0
 
     def error(self, message: str):
         raise ValueError(f"parse error at position {self.pos}: {message}")
@@ -625,44 +626,55 @@ class _Parser:
             self.error("expected an integer")
         return int(self.text[start : self.pos])
 
-    def parse_sum(self) -> BracketExpr:
-        sign = 1
+    # The parse methods return (expression, depth of its deepest tree).
+    def parse_sum(self) -> tuple[BracketExpr, int]:
         ch = self.peek()
         if ch in ("+", "-"):
             self.take()
-            sign = -1 if ch == "-" else 1
-        expr = sign * self.parse_term()
+        expr, depth = self.parse_term()
+        if ch == "-":
+            expr = -expr
         while self.peek() in ("+", "-"):
             op = self.take()
-            term = self.parse_term()
+            term, term_depth = self.parse_term()
             expr = expr + term if op == "+" else expr - term
-        return expr
+            depth = max(depth, term_depth)
+        return expr, depth
 
-    def parse_term(self) -> BracketExpr:
-        sign = 1
+    def parse_term(self) -> tuple[BracketExpr, int]:
+        coeff = 1
         if self.peek() == "-":
             self.take()
-            sign = -1
+            coeff = -1
         ch = self.peek()
         if ch is not None and ch.isdigit():
-            coeff = self.parse_int()
+            coeff *= self.parse_int()
             self.expect("*")
-            return (sign * coeff) * self.parse_atom()
-        return sign * self.parse_atom()
+        atom, depth = self.parse_atom()
+        # Scaling by 1 would only copy the terms and hash every tree again.
+        return (atom if coeff == 1 else coeff * atom), depth
 
-    def parse_atom(self) -> BracketExpr:
+    def parse_atom(self) -> tuple[BracketExpr, int]:
         ch = self.peek()
         if ch in LETTERS:
             self.take()
-            return BracketExpr.letter(ch)
+            return BracketExpr.letter(ch), 0
         if ch == "[":
             self.take()
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                self.error(f"brackets nest deeper than {MAX_DEPTH} levels")
             slots = [self.parse_sum()]
             while self.peek() == ",":
                 self.take()
                 slots.append(self.parse_sum())
             self.expect("]")
+            self.nesting -= 1
             if len(slots) < 2:
                 self.error("a bracket needs at least two slots")
-            return left_normed(*slots)
+            # [x1, ..., xn] puts x1 n-1 levels deep and xi (i >= 2) n-i+1.
+            depth = max(d + len(slots) - max(i, 1) for i, (_, d) in enumerate(slots))
+            if depth > MAX_DEPTH:
+                self.error(f"brackets nest deeper than {MAX_DEPTH} levels")
+            return left_normed(*(x for x, _ in slots)), depth
         self.error(f"expected a letter or '[', got {ch!r}")

@@ -21,11 +21,11 @@ from .algebra import InconsistencyError, LieElement, bracket_with_letter
 from .words import bidegree as word_bidegree
 from .words import is_lyndon, lyndon_words
 from .zlinalg import (
+    Echelon,
     IntMatrix,
     KernelLattice,
-    kernel,
+    echelon,
     lattice_coordinates,
-    rank,
     smith_invariants,
 )
 
@@ -126,14 +126,17 @@ def pair_matrix(k: int, l: int) -> PairMatrix:
 
 
 @lru_cache(maxsize=None)
+def _pair_echelon(k: int, l: int) -> Echelon:
+    return echelon(pair_matrix(k, l).matrix)
+
+
 def pair_rank(k: int, l: int) -> int:
-    return rank(pair_matrix(k, l).matrix)
+    return _pair_echelon(k, l).rank
 
 
-@lru_cache(maxsize=None)
 def kernel_lattice(k: int, l: int) -> KernelLattice:
     """Canonical integer kernel of the pair map on one bidegree."""
-    return kernel(pair_matrix(k, l).matrix)
+    return _pair_echelon(k, l).kernel
 
 
 def pair_image(a_part: LieElement, b_part: LieElement) -> LieElement:
@@ -207,17 +210,23 @@ def kernel_certificates(k: int, l: int) -> tuple[IdentityCertificate, ...]:
 
 
 def check_surjective(k: int, l: int) -> SurjectivityReport:
-    """Rank and integral cokernel check for the pair map (weight >= 2 only)."""
+    """Rank and integral cokernel check for the pair map (weight >= 2 only).
+
+    When the rank equals the number of rows, the nonzero rows of HNF(M^T)
+    are a triangular basis of the image lattice, of index the product of the
+    pivots, so the cokernel is trivial exactly when every pivot is 1.  Only
+    otherwise, which no slice of weight >= 2 is, does a Smith form run.
+    """
     if k + l < 2:
         raise ValueError(f"surjectivity check needs weight >= 2, got ({k}, {l})")
     pm = pair_matrix(k, l)
-    return SurjectivityReport(
-        k,
-        l,
-        codomain_dim=pm.matrix.rows,
-        rank=pair_rank(k, l),
-        invariant_factors=smith_invariants(pm.matrix),
-    )
+    rows = pm.matrix.rows
+    ech = _pair_echelon(k, l)
+    if ech.rank == rows and all(p == 1 for p in ech.pivots):
+        factors = (1,) * rows
+    else:
+        factors = smith_invariants(pm.matrix)
+    return SurjectivityReport(k, l, codomain_dim=rows, rank=ech.rank, invariant_factors=factors)
 
 
 def lattice_membership(cert: IdentityCertificate) -> MembershipReport:
@@ -279,6 +288,7 @@ def certificate_to_dict(cert: IdentityCertificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> IdentityCertificate:
+    """Load a certificate record, unverified whatever its "verified" field says."""
     try:
         k = int(data["k"])
         l = int(data["l"])
@@ -293,7 +303,6 @@ def certificate_from_dict(data: dict) -> IdentityCertificate:
         _element_from_pairs(pairs_a, (k - 1, l)) if k - 1 >= 0 else _require_empty(pairs_a),
         _element_from_pairs(pairs_b, (k, l - 1)) if l - 1 >= 0 else _require_empty(pairs_b),
         source=str(data.get("source", "user")),
-        verified=bool(data.get("verified", False)),
     )
     _check_certificate_shape(cert)
     return cert
@@ -305,23 +314,6 @@ def _require_empty(pairs) -> LieElement:
     return LieElement.zero()
 
 
-def _element_latex(x: LieElement) -> str:
-    if x.is_zero():
-        return "0"
-    chunks = []
-    for c, w in x.terms():
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        body = f"[{w}]" if mag == 1 else f"{mag}[{w}]"
-        chunks.append((sign, body))
-    text = ("-" if chunks[0][0] == "-" else "") + chunks[0][1]
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
 def certificate_latex(cert: IdentityCertificate) -> str:
     """Render the certificate as the identity [A, a] = [-B, b]."""
-    lhs = _element_latex(cert.A)
-    rhs = _element_latex(-cert.B)
-    return rf"\left[{lhs},\, a\right] = \left[{rhs},\, b\right]"
+    return rf"\left[{cert.A},\, a\right] = \left[{-cert.B},\, b\right]"

@@ -202,6 +202,8 @@ def oracle_check(cert: IdentityCertificate, trials: int = 50, dim: int = 4,
         raise ValueError(f"need at least one trial, got {trials}")
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
+    if modulus is not None and modulus < 2:
+        raise ValueError(f"modulus must be at least 2, got {modulus}")
     note = "passing trials are evidence, not proof"
     if modulus:
         note += f"; evaluated modulo {modulus}, which can mask nonzero integer values"

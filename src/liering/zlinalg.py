@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, ranks,
-determinants, and canonical bases of integer kernel lattices.
+and canonical bases of integer kernel lattices.
 
 Everything works on arbitrary-precision Python integers; there is no
 floating point anywhere.  Row reduction picks pivots of minimal absolute
@@ -13,6 +13,10 @@ HNF is unique per row lattice, canonicalizing a basis makes lattice
 equality a plain comparison.  Tests verify the U*M = H reconstruction and
 unimodularity on every exercised call; production calls skip the repeated
 multiplication.
+
+``echelon`` is the one pass per matrix the rest of the package needs: the
+transform HNF of M^T gives the rank of M, the pivots that decide whether M
+maps onto Z^rows, and, from the zero rows of H, the kernel of M.
 """
 
 from __future__ import annotations
@@ -175,31 +179,6 @@ def rank(m: IntMatrix) -> int:
     return r
 
 
-def det(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [row[:] for row in m.entries]
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            swap = next((i for i in range(t + 1, n) if a[i][t]), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
-
-
 def smith_invariants(m: IntMatrix) -> tuple[int, ...]:
     """Positive invariant factors d1 | d2 | ... of the matrix."""
     a = [row[:] for row in m.entries]
@@ -288,24 +267,38 @@ def canonical_lattice(ambient: int, vectors: Iterable[Sequence[int]]) -> KernelL
     return KernelLattice(ambient, tuple(tuple(row) for row in work[:r]), canonical=True)
 
 
-def kernel(m: IntMatrix) -> KernelLattice:
-    """Canonical basis of the full integer kernel {x : M x = 0}.
+@dataclass(frozen=True)
+class Echelon:
+    """Rank of M, leading entries of the nonzero rows of HNF(M^T), kernel of M."""
 
-    The kernel of an integer matrix is a pure sublattice (a direct
-    summand), so this basis spans every integer solution, not just a
-    finite-index sublattice.  Every returned vector is re-checked against
-    M exactly.
+    rank: int
+    pivots: tuple[int, ...]
+    kernel: KernelLattice
+
+
+def echelon(m: IntMatrix) -> Echelon:
+    """Rank, image pivots and canonical kernel of M from one HNF of M^T.
+
+    The rows of U (U*M^T = H) that meet the zero rows of H lie in the
+    kernel of M, and since U is unimodular they span the full integer
+    kernel, a pure sublattice (a direct summand), not just a finite-index
+    one.  Every returned kernel vector is re-checked against M exactly.
     """
-    flipped = [[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)]
-    r, u = _row_echelon(flipped, m.rows, transform=True)
-    generators = u[r:]
+    h, u = hnf(m.transpose())
+    pivots = tuple(next(v for v in row if v) for row in h.entries if any(row))
+    generators = u.entries[len(pivots):]
     lattice = canonical_lattice(m.cols, generators)
     if lattice.rank != len(generators):
         raise AssertionError("kernel generators were not independent")
     for vector in lattice.basis:
         if any(m.apply(vector)):
             raise AssertionError("computed kernel vector does not annihilate the matrix")
-    return lattice
+    return Echelon(len(pivots), pivots, lattice)
+
+
+def kernel(m: IntMatrix) -> KernelLattice:
+    """Canonical basis of the full integer kernel {x : M x = 0}."""
+    return echelon(m).kernel
 
 
 def _canonicalize(lat: KernelLattice) -> KernelLattice:

@@ -1,9 +1,11 @@
 """Command-line interface: grammar, formats, exit codes, round trips."""
 
+import hashlib
 import json
 
 import pytest
 
+from liering.algebra import MAX_DEPTH
 from liering.cli import main
 from liering.families import i33_certificate
 from liering.kernels import certificate_to_dict
@@ -138,6 +140,9 @@ def test_verify_rejects_bad_certificates(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 2
 
+    code, _, err = run(capsys, "verify", str(payload), "--oracle", "--modulus", "1")
+    assert code == 2 and err.startswith("error: modulus")
+
 
 def test_normalize_command(capsys):
     code, out, _ = run(capsys, "normalize", "[[a,b],b]")
@@ -151,6 +156,57 @@ def test_normalize_command(capsys):
 
     code, _, err = run(capsys, "normalize", "[a")
     assert code == 2 and "parse error" in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        pytest.param("[" * 2000 + "a" + ",b]" * 2000, id="nested-2000"),
+        pytest.param("[a" + ",b" * 899 + "]", id="left-normed-900-slots"),
+        pytest.param("[" * (MAX_DEPTH + 1) + "a" + ",b]" * (MAX_DEPTH + 1), id="nested-limit+1"),
+        pytest.param("[a" + ",b" * (MAX_DEPTH + 1) + "]", id="left-normed-limit+1"),
+    ],
+)
+def test_normalize_rejects_deep_input(capsys, expr):
+    code, out, err = run(capsys, "normalize", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"deeper than {MAX_DEPTH}" in err
+
+
+def test_normalize_accepts_the_depth_limit(capsys):
+    for expr in ("[" * MAX_DEPTH + "a" + ",b]" * MAX_DEPTH, "[a" + ",b" * MAX_DEPTH + "]"):
+        code, out, _ = run(capsys, "normalize", expr)
+        assert code == 0
+        assert json.loads(out)["terms"] == [["1", "a" + "b" * MAX_DEPTH]]
+
+
+# SHA-256 of stdout for a fixed command list, recorded with the implementation
+# that reduced each pair-map slice three times (rank, kernel HNF, Smith form).
+# Any change to a printed number or to the formatting breaks the match.
+GOLDEN_STDOUT = [
+    (("kernel", "5", "5", "--certify"),
+     "dd8be87e1b65d8ed6e2d62aed4fba6358d02b954fc8ac2d4020adca688572b52"),
+    (("kernel", "3", "6", "--certify"),
+     "e7d232451a7812822a1f1ca9882553a55679b60b0c8558f321d86d5f99583c49"),
+    (("theta", "4", "4"),
+     "60259b76fd12150d17e58211ce9fb01e10bfd89c1b09137400b4e471a02f20af"),
+    (("family", "i33", "--n", "2", "--format", "latex"),
+     "4b9ffad2f6656e8d4292525c58e0ccadd1c88c63f24ab7ed515700236d92c439"),
+    (("family", "i2", "--m", "6", "--format", "latex"),
+     "0c7b64ec61f1148bd88d1546ea4220fbdbf92b1d12f74106e34c56ea17c016d6"),
+    (("dims", "--max-weight", "13", "--bigraded"),
+     "7ff9535cc8d857b9886469a2eff3a336e90390ff4c69450d930f22bbf152812b"),
+    (("normalize", "[[a,b,b],[a,b]] + 2*[a,b,a,b,b] - [[a,b],[a,b,b]]"),
+     "1388df954f7432172b4b6204010b72d72f89e51e48737da7342b7f8d1a0e4694"),
+]
+
+
+def test_golden_stdout(capsys):
+    for argv, digest in GOLDEN_STDOUT:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
 
 
 def test_unknown_command_exits_2(capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from liering import kernels, zlinalg
 from liering.algebra import LieElement, bracket, engel
 from liering.dims import kernel_dim, kernel_dim_bigraded
 from liering.kernels import (
@@ -12,12 +13,14 @@ from liering.kernels import (
     certificate_vector,
     check_surjective,
     kernel_certificates,
+    kernel_lattice,
     lattice_membership,
     pair_image,
     pair_matrix,
+    pair_rank,
     verify_certificate,
 )
-from liering.zlinalg import canonical_lattice, lattice_equal
+from liering.zlinalg import canonical_lattice, lattice_equal, rank, smith_invariants
 
 
 def test_pair_matrix_small_examples():
@@ -111,6 +114,24 @@ def test_surjectivity_weight_2_to_8_with_trivial_cokernel():
             report = check_surjective(k, n - k)
             assert report.surjective, (k, n - k)
             assert all(f == 1 for f in report.invariant_factors)
+            # Smith normal form and a separate rank pass are the references.
+            matrix = pair_matrix(k, n - k).matrix
+            assert report.invariant_factors == smith_invariants(matrix), (k, n - k)
+            assert pair_rank(k, n - k) == rank(matrix), (k, n - k)
+
+
+def test_check_surjective_reuses_the_kernel_pass(monkeypatch):
+    slices = [(k, n - k) for n in range(2, 9) for k in range(n + 1)]
+    for k, l in slices:
+        kernel_lattice(k, l)
+
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("check_surjective reduced a matrix again")
+
+    monkeypatch.setattr(kernels, "smith_invariants", no_reduction)
+    monkeypatch.setattr(zlinalg, "_row_echelon", no_reduction)
+    for k, l in slices:
+        assert check_surjective(k, l).surjective, (k, l)
 
 
 def test_lattice_membership():
@@ -142,7 +163,19 @@ def test_certificate_serialization_round_trip():
     again = certificate_from_dict(data)
     assert again.k == cert.k and again.l == cert.l
     assert again.A == cert.A and again.B == cert.B
+    assert not again.verified  # loaded records are untrusted
+    assert verify_certificate(again)
     assert certificate_to_dict(again) == data
+
+
+@pytest.mark.parametrize("flag", [True, "false", "yes", 1])
+def test_certificate_from_dict_ignores_verified_field(flag):
+    data = certificate_to_dict(kernel_certificates(2, 2)[0])
+    data["verified"] = flag
+    cert = certificate_from_dict(data)
+    assert cert.verified is False
+    with pytest.raises(ValueError):
+        lattice_membership(cert)
 
 
 def test_certificate_serialization_boundary():

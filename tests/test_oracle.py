@@ -117,6 +117,14 @@ def test_oracle_validation():
         oracle_check(cert, dim=1)
     with pytest.raises(ValueError):
         random_assignment(0, 1)
+    # Modulo 1 every value vanishes, so a wrong certificate would pass.
+    four = i2_certificate(4)
+    corrupted = dataclasses.replace(four, A=2 * four.A, verified=False)
+    assert not oracle_check(corrupted, trials=5, seed=1).passed
+    for modulus in (1, 0, -7):
+        with pytest.raises(ValueError):
+            oracle_check(corrupted, trials=5, seed=1, modulus=modulus)
+    assert not oracle_check(corrupted, trials=5, seed=1, modulus=2).passed
 
 
 def test_sensitivity_every_small_basis_element_is_seen():

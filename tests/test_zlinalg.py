@@ -7,7 +7,7 @@ from liering.zlinalg import (
     IntMatrix,
     KernelLattice,
     canonical_lattice,
-    det,
+    echelon,
     hnf,
     kernel,
     lattice_coordinates,
@@ -52,7 +52,7 @@ def test_hnf_reconstruction_and_unimodularity():
     m = IntMatrix([[6, 4, 2], [2, 8, 0], [1, 1, 1]])
     h, u = hnf(m)
     assert u @ m == h
-    assert abs(det(u)) == 1
+    assert smith_invariants(u) == (1,) * u.rows
     assert_hnf_shape(h)
 
 
@@ -63,15 +63,6 @@ def test_rank_examples():
     assert rank(IntMatrix([], cols=4)) == 0
 
 
-def test_det_examples():
-    assert det(IntMatrix.identity(5)) == 1
-    assert det(IntMatrix([[2, 0], [0, 3]])) == 6
-    assert det(IntMatrix([[0, 1], [1, 0]])) == -1
-    assert det(IntMatrix([[1, 2], [2, 4]])) == 0
-    with pytest.raises(ValueError):
-        det(IntMatrix([[1, 2]]))
-
-
 def test_kernel_examples():
     lat = kernel(IntMatrix([[-1, 1]]))
     assert lat.basis == ((1, 1),)
@@ -79,6 +70,20 @@ def test_kernel_examples():
     assert kernel(IntMatrix.identity(3)).rank == 0
     empty_rows = kernel(IntMatrix([], cols=3))
     assert empty_rows.rank == 3
+
+
+def test_echelon_examples():
+    ech = echelon(IntMatrix([[2, 3]]))  # onto Z: gcd(2, 3) = 1
+    assert (ech.rank, ech.pivots) == (1, (1,))
+    assert ech.kernel.basis == ((3, -2),)
+
+    ech = echelon(IntMatrix([[2, 0], [0, 3]]))  # full rank, image of index 6
+    assert (ech.rank, ech.pivots) == (2, (2, 3))
+    assert ech.kernel.rank == 0
+
+    ech = echelon(IntMatrix([], cols=2))  # no rows: everything is kernel
+    assert (ech.rank, ech.pivots) == (0, ())
+    assert ech.kernel.basis == ((1, 0), (0, 1))
 
 
 def test_kernel_is_pure():
@@ -155,12 +160,17 @@ def test_fuzz_hnf_and_kernel(entries):
     m = IntMatrix(entries)
     h, u = hnf(m)
     assert u @ m == h
-    assert abs(det(u)) == 1
+    assert smith_invariants(u) == (1,) * u.rows
     assert_hnf_shape(h)
 
     r = rank(m)
     lat = kernel(m)
     assert lat.rank == m.cols - r
+    ech = echelon(m)
+    assert ech.rank == r and ech.kernel == lat
+    # The one-pass surjectivity test agrees with the Smith normal form.
+    onto = ech.rank == m.rows and all(p == 1 for p in ech.pivots)
+    assert onto == (smith_invariants(m) == (1,) * m.rows)
     for vector in lat.basis:
         assert not any(m.apply(vector))
     if lat.rank:

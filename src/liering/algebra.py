@@ -15,6 +15,11 @@ the expansion of [w] has coefficient 1 on w and is otherwise supported on
 lexicographically larger rearrangements of w.  A nonzero residual after
 back-substitution can only mean a bug, so it raises instead of truncating.
 
+Every sum of word or tree dicts goes through ``_accumulate(out, terms,
+scale)``, which adds scale * terms into ``out`` in place, and every xy - yx
+on word dicts through ``_commutator``.  The caller owns ``out``: it is a
+fresh dict or a copy, never a dict cached by ``_tree_poly``.
+
 Coefficients are plain Python integers throughout; nothing here ever
 rounds or overflows.  All public functions are pure, and the internal
 caches hold immutable data only.
@@ -91,20 +96,13 @@ class AssocPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other: "AssocPoly") -> "AssocPoly":
-        out = dict(self.coeffs)
-        for word, c in other.coeffs.items():
-            r = out.get(word, 0) + c
-            if r:
-                out[word] = r
-            elif word in out:
-                del out[word]
-        return AssocPoly._wrap(out)
+        return AssocPoly._wrap(_accumulate(dict(self.coeffs), other.coeffs))
 
     def __neg__(self) -> "AssocPoly":
         return AssocPoly._wrap({w: -c for w, c in self.coeffs.items()})
 
     def __sub__(self, other: "AssocPoly") -> "AssocPoly":
-        return self + (-other)
+        return AssocPoly._wrap(_accumulate(dict(self.coeffs), other.coeffs, -1))
 
     def __rmul__(self, scalar: int) -> "AssocPoly":
         if not isinstance(scalar, int):
@@ -118,18 +116,12 @@ class AssocPoly:
         if not isinstance(other, AssocPoly):
             return NotImplemented
         out: dict[str, int] = {}
-        for u, cu in self.coeffs.items():
-            for v, cv in other.coeffs.items():
-                word = u + v
-                r = out.get(word, 0) + cu * cv
-                if r:
-                    out[word] = r
-                elif word in out:
-                    del out[word]
+        for v, cv in other.coeffs.items():
+            _accumulate(out, {u + v: cu for u, cu in self.coeffs.items()}, cv)
         return AssocPoly._wrap(out)
 
     def commutator(self, other: "AssocPoly") -> "AssocPoly":
-        return self * other - other * self
+        return AssocPoly._wrap(_commutator(self.coeffs, other.coeffs))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -138,30 +130,36 @@ class AssocPoly:
         return f"AssocPoly({terms})"
 
 
+def _accumulate(out: dict, terms: Mapping, scale: int = 1) -> dict:
+    """Add scale * terms into ``out`` in place, dropping entries that reach 0."""
+    for key, c in terms.items():
+        r = out.get(key, 0) + scale * c
+        if r:
+            out[key] = r
+        elif key in out:
+            del out[key]
+    return out
+
+
+def _commutator(p: Mapping[str, int], q: Mapping[str, int]) -> dict[str, int]:
+    """pq - qp on word dicts, as a new dict."""
+    out: dict[str, int] = {}
+    # One _accumulate call per word of the shorter dict (qp - pq = -(pq - qp)):
+    # for a fixed w, u -> w + u and u -> u + w are injective, so no
+    # comprehension merges two terms.
+    short, other, sign = (p, q, 1) if len(p) <= len(q) else (q, p, -1)
+    for w, cw in short.items():
+        _accumulate(out, {w + u: cu for u, cu in other.items()}, sign * cw)
+        _accumulate(out, {u + w: cu for u, cu in other.items()}, -sign * cw)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _tree_poly(tree: BracketTree) -> dict[str, int]:
-    # Shared, never mutated.  Callers copy before editing.
+    # Shared, never mutated: pass it to _accumulate as terms, never as out.
     if isinstance(tree, Leaf):
         return {tree.letter: 1}
-    left = _tree_poly(tree.left)
-    right = _tree_poly(tree.right)
-    out: dict[str, int] = {}
-    for u, cu in left.items():
-        for v, cv in right.items():
-            c = cu * cv
-            uv = u + v
-            r = out.get(uv, 0) + c
-            if r:
-                out[uv] = r
-            elif uv in out:
-                del out[uv]
-            vu = v + u
-            r = out.get(vu, 0) - c
-            if r:
-                out[vu] = r
-            elif vu in out:
-                del out[vu]
-    return out
+    return _commutator(_tree_poly(tree.left), _tree_poly(tree.right))
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +208,15 @@ class BracketExpr:
     def __add__(self, other: "BracketExpr") -> "BracketExpr":
         if not isinstance(other, BracketExpr):
             return NotImplemented
-        out = dict(self.terms)
-        for tree, c in other.terms.items():
-            r = out.get(tree, 0) + c
-            if r:
-                out[tree] = r
-            elif tree in out:
-                del out[tree]
-        return BracketExpr(out)
+        return BracketExpr(_accumulate(dict(self.terms), other.terms))
 
     def __neg__(self) -> "BracketExpr":
         return BracketExpr({t: -c for t, c in self.terms.items()})
 
     def __sub__(self, other: "BracketExpr") -> "BracketExpr":
-        return self + (-other)
+        if not isinstance(other, BracketExpr):
+            return NotImplemented
+        return BracketExpr(_accumulate(dict(self.terms), other.terms, -1))
 
     def __rmul__(self, scalar: int) -> "BracketExpr":
         if not isinstance(scalar, int):
@@ -235,16 +228,9 @@ class BracketExpr:
     def bracket(self, other: ExprLike) -> "BracketExpr":
         """Bilinear bracket, term by term."""
         other = as_expr(other)
-        out: dict[BracketTree, int] = {}
-        for s, cs in self.terms.items():
-            for t, ct in other.terms.items():
-                node = Node(s, t)
-                r = out.get(node, 0) + cs * ct
-                if r:
-                    out[node] = r
-                elif node in out:
-                    del out[node]
-        return BracketExpr(out)
+        # Distinct (s, t) pairs give distinct Node(s, t) keys: nothing to merge.
+        return BracketExpr({Node(s, t): cs * ct for s, cs in self.terms.items()
+                            for t, ct in other.terms.items()})
 
     def bidegree(self) -> tuple[int, int] | None:
         """Common bidegree of all terms, None for the zero expression."""
@@ -288,12 +274,7 @@ def assoc_expand(expr: ExprLike) -> AssocPoly:
     expr = as_expr(expr)
     out: dict[str, int] = {}
     for tree, c in expr.terms.items():
-        for word, e in _tree_poly(tree).items():
-            r = out.get(word, 0) + c * e
-            if r:
-                out[word] = r
-            elif word in out:
-                del out[word]
+        _accumulate(out, _tree_poly(tree), c)
     return AssocPoly._wrap(out)
 
 
@@ -379,14 +360,7 @@ class LieElement:
         if not isinstance(other, LieElement):
             return NotImplemented
         bd = self._combined_bidegree(other)
-        out = dict(self.coeffs)
-        for word, c in other.coeffs.items():
-            r = out.get(word, 0) + c
-            if r:
-                out[word] = r
-            elif word in out:
-                del out[word]
-        return LieElement._make(bd, out)
+        return LieElement._make(bd, _accumulate(dict(self.coeffs), other.coeffs))
 
     def __neg__(self) -> "LieElement":
         return LieElement._make(self.bidegree, {w: -c for w, c in self.coeffs.items()})
@@ -394,7 +368,8 @@ class LieElement:
     def __sub__(self, other: "LieElement") -> "LieElement":
         if not isinstance(other, LieElement):
             return NotImplemented
-        return self + (-other)
+        bd = self._combined_bidegree(other)
+        return LieElement._make(bd, _accumulate(dict(self.coeffs), other.coeffs, -1))
 
     def __rmul__(self, scalar: int) -> "LieElement":
         if not isinstance(scalar, int):
@@ -484,12 +459,7 @@ def normalize(expr: ExprLike) -> LieElement:
 def _element_poly(x: LieElement) -> dict[str, int]:
     out: dict[str, int] = {}
     for word, c in x.coeffs.items():
-        for u, e in _tree_poly(lyndon_bracket(word)).items():
-            r = out.get(u, 0) + c * e
-            if r:
-                out[u] = r
-            elif u in out:
-                del out[u]
+        _accumulate(out, _tree_poly(lyndon_bracket(word)), c)
     return out
 
 
@@ -504,42 +474,15 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
         if x.bidegree is not None and y.bidegree is not None:
             return LieElement.zero((x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1]))
         return LieElement.zero()
-    px = _element_poly(x)
-    py = _element_poly(y)
-    out: dict[str, int] = {}
-    for u, cu in px.items():
-        for v, cv in py.items():
-            c = cu * cv
-            for word, sign in ((u + v, 1), (v + u, -1)):
-                r = out.get(word, 0) + sign * c
-                if r:
-                    out[word] = r
-                elif word in out:
-                    del out[word]
     bd = (x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1])
-    return _reduce(out, bd)
+    return _reduce(_commutator(_element_poly(x), _element_poly(y)), bd)
 
 
 def bracket_with_letter(x: LieElement, letter: str) -> LieElement:
     """Normalized [x, letter]; the building block of the pair map."""
     if letter not in LETTERS:
         raise ValueError(f"letter must be one of {LETTERS}, got {letter!r}")
-    if x.is_zero():
-        if x.bidegree is None:
-            return LieElement.zero()
-        k, l = x.bidegree
-        return LieElement.zero((k + 1, l) if letter == "a" else (k, l + 1))
-    out: dict[str, int] = {}
-    for u, c in _element_poly(x).items():
-        for word, sign in ((u + letter, 1), (letter + u, -1)):
-            r = out.get(word, 0) + sign * c
-            if r:
-                out[word] = r
-            elif word in out:
-                del out[word]
-    k, l = x.bidegree
-    bd = (k + 1, l) if letter == "a" else (k, l + 1)
-    return _reduce(out, bd)
+    return bracket(x, LieElement._make((1, 0) if letter == "a" else (0, 1), {letter: 1}))
 
 
 def engel_tree(n: int) -> BracketTree:

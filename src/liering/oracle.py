@@ -48,7 +48,20 @@ def _zero(dim: int) -> list[list[int]]:
     return [[0] * dim for _ in range(dim)]
 
 
-def _mul(x, y, dim: int, modulus: int | None):
+def _check_modulus(modulus: int | None) -> None:
+    # Modulo 1 every matrix is zero, so a wrong certificate would pass.
+    if modulus is not None and modulus < 2:
+        raise ValueError(f"modulus must be at least 2, got {modulus}")
+
+
+def _reduced(mat, modulus: int | None):
+    """The matrix with entries taken mod ``modulus``; unchanged for None."""
+    if modulus is None:
+        return mat
+    return [[v % modulus for v in row] for row in mat]
+
+
+def _mul(x, y, dim: int):
     out = _zero(dim)
     for i in range(dim):
         xi = x[i]
@@ -59,18 +72,13 @@ def _mul(x, y, dim: int, modulus: int | None):
                 yk = y[k]
                 for j in range(dim):
                     oi[j] += c * yk[j]
-        if modulus:
-            out[i] = [v % modulus for v in oi]
     return out
 
 
 def _commutator(x, y, dim: int, modulus: int | None):
-    xy = _mul(x, y, dim, modulus)
-    yx = _mul(y, x, dim, modulus)
-    out = [[xy[i][j] - yx[i][j] for j in range(dim)] for i in range(dim)]
-    if modulus:
-        out = [[v % modulus for v in row] for row in out]
-    return out
+    xy = _mul(x, y, dim)
+    yx = _mul(y, x, dim)
+    return _reduced([[xy[i][j] - yx[i][j] for j in range(dim)] for i in range(dim)], modulus)
 
 
 def _add_scaled(acc, mat, c: int, dim: int) -> None:
@@ -86,10 +94,7 @@ def _eval_tree(tree: BracketTree, assignment: MatrixAssignment, modulus, cache):
     if cached is not None:
         return cached
     if isinstance(tree, Leaf):
-        value = assignment.a_matrix if tree.letter == "a" else assignment.b_matrix
-        value = [list(row) for row in value]
-        if modulus:
-            value = [[v % modulus for v in row] for row in value]
+        value = _reduced(assignment.a_matrix if tree.letter == "a" else assignment.b_matrix, modulus)
     else:
         left = _eval_tree(tree.left, assignment, modulus, cache)
         right = _eval_tree(tree.right, assignment, modulus, cache)
@@ -98,45 +103,39 @@ def _eval_tree(tree: BracketTree, assignment: MatrixAssignment, modulus, cache):
     return value
 
 
-def evaluate_expr(expr, assignment: MatrixAssignment, modulus: int | None = None) -> Matrix:
-    """Evaluate a bracket expression to an exact integer matrix."""
-    expr = as_expr(expr)
+def _sum_trees(terms, assignment: MatrixAssignment, modulus: int | None, cache: dict) -> Matrix:
+    """The sum of c * value(tree) over (tree, c) pairs, reduced once at the end."""
     dim = assignment.dim
     acc = _zero(dim)
-    cache: dict = {}
-    for tree, c in expr.terms.items():
+    for tree, c in terms:
         _add_scaled(acc, _eval_tree(tree, assignment, modulus, cache), c, dim)
-    if modulus:
-        acc = [[v % modulus for v in row] for row in acc]
-    return tuple(tuple(row) for row in acc)
+    return tuple(tuple(row) for row in _reduced(acc, modulus))
+
+
+def evaluate_expr(expr, assignment: MatrixAssignment, modulus: int | None = None) -> Matrix:
+    """Evaluate a bracket expression to an exact integer matrix, mod ``modulus`` (>= 2) if given."""
+    _check_modulus(modulus)
+    return _sum_trees(as_expr(expr).terms.items(), assignment, modulus, {})
 
 
 def evaluate_element(x: LieElement, assignment: MatrixAssignment, modulus: int | None = None,
                      _cache: dict | None = None) -> Matrix:
-    """Evaluate basis coordinates through the standard bracketing."""
-    dim = assignment.dim
-    acc = _zero(dim)
-    cache = {} if _cache is None else _cache
-    for word, c in x.coeffs.items():
-        _add_scaled(acc, _eval_tree(lyndon_bracket(word), assignment, modulus, cache), c, dim)
-    if modulus:
-        acc = [[v % modulus for v in row] for row in acc]
-    return tuple(tuple(row) for row in acc)
+    """Evaluate basis coordinates through the standard bracketing, mod ``modulus`` (>= 2) if given."""
+    _check_modulus(modulus)
+    terms = ((lyndon_bracket(word), c) for word, c in x.coeffs.items())
+    return _sum_trees(terms, assignment, modulus, {} if _cache is None else _cache)
 
 
 def evaluate_certificate(cert: IdentityCertificate, assignment: MatrixAssignment,
                          modulus: int | None = None) -> Matrix:
-    """The matrix value of [A, a] + [B, b] under the assignment."""
+    """The matrix value of [A, a] + [B, b] under the assignment, mod ``modulus`` (>= 2) if given."""
     dim = assignment.dim
     cache: dict = {}
     value_a = evaluate_element(cert.A, assignment, modulus, cache)
     value_b = evaluate_element(cert.B, assignment, modulus, cache)
-    comm_a = _commutator(value_a, [list(r) for r in assignment.a_matrix], dim, modulus)
-    comm_b = _commutator(value_b, [list(r) for r in assignment.b_matrix], dim, modulus)
-    out = [[comm_a[i][j] + comm_b[i][j] for j in range(dim)] for i in range(dim)]
-    if modulus:
-        out = [[v % modulus for v in row] for row in out]
-    return tuple(tuple(row) for row in out)
+    out = _commutator(value_a, assignment.a_matrix, dim, modulus)
+    _add_scaled(out, _commutator(value_b, assignment.b_matrix, dim, modulus), 1, dim)
+    return tuple(tuple(row) for row in _reduced(out, modulus))
 
 
 def _is_zero_matrix(mat: Matrix) -> bool:
@@ -202,8 +201,7 @@ def oracle_check(cert: IdentityCertificate, trials: int = 50, dim: int = 4,
         raise ValueError(f"need at least one trial, got {trials}")
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
-    if modulus is not None and modulus < 2:
-        raise ValueError(f"modulus must be at least 2, got {modulus}")
+    _check_modulus(modulus)
     note = "passing trials are evidence, not proof"
     if modulus:
         note += f"; evaluated modulo {modulus}, which can mask nonzero integer values"

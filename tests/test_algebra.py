@@ -86,6 +86,78 @@ def test_bracket_with_letter():
         bracket_with_letter(engel(1), "c")
 
 
+def test_bracket_with_letter_matches_bracket_expr_reference():
+    rng = random.Random(4401)
+    for _ in range(200):
+        k, l = random_bidegree(rng, 9)
+        x = LieElement((k, l), {w: rng.choice((-3, -2, -1, 1, 2, 3)) for w in lyndon_words(k, l)})
+        for letter in "ab":
+            expected = normalize(basis_expansion(x).bracket(letter))
+            assert bracket_with_letter(x, letter) == expected, (x, letter)
+
+
+def test_assoc_commutator_matches_products():
+    rng = random.Random(4402)
+
+    def random_poly():
+        return AssocPoly({
+            "".join(rng.choice("ab") for _ in range(rng.randint(1, 4))): rng.randint(-3, 3)
+            for _ in range(rng.randint(0, 6))
+        })
+
+    for _ in range(300):
+        p, q = random_poly(), random_poly()
+        brute: dict[str, int] = {}
+        for u, cu in p.coeffs.items():
+            for v, cv in q.coeffs.items():
+                brute[u + v] = brute.get(u + v, 0) + cu * cv
+                brute[v + u] = brute.get(v + u, 0) - cu * cv
+        expected = p * q - q * p
+        assert p.commutator(q) == expected
+        assert expected.coeffs == {w: c for w, c in brute.items() if c}
+    assert AssocPoly({"a": 2, "aa": 1}).commutator(AssocPoly({"aaa": -1})).coeffs == {}
+
+
+def test_difference_with_itself_is_typed_zero():
+    x = normalize(parse_expr("[[a,b,b],[a,b]] + 2*[a,b,a,b,b]"))
+    for y in (x, LieElement.zero((2, 3))):
+        diff = y - y
+        assert isinstance(diff, LieElement)
+        assert diff.coeffs == {} and diff.bidegree == (2, 3)
+    expr = parse_expr("[a,b] - 3*[[a,b],b]")
+    assert isinstance(expr - expr, BracketExpr) and (expr - expr).terms == {}
+    poly = assoc_expand(expr)
+    assert isinstance(poly - poly, AssocPoly) and (poly - poly).coeffs == {}
+
+
+def test_cached_tree_polys_are_never_mutated():
+    # _accumulate writes into its first argument, so a cached _tree_poly dict
+    # handed to it as `out` would corrupt every later expansion.
+    from liering import kernels
+    from liering.algebra import _tree_poly
+
+    trees = [lyndon_bracket(w) for n in range(1, 6) for k in range(n + 1)
+             for w in lyndon_words(k, n - k)]
+    snapshot = {tree: dict(_tree_poly(tree)) for tree in trees}
+    elements = [
+        LieElement((1, 0), {"a": 3}),
+        LieElement((0, 1), {"b": -2}),
+        LieElement((1, 2), {"abb": 2}),
+        LieElement((2, 3), {"aabbb": 2, "ababb": -1}),
+        LieElement((3, 2), {"aaabb": 1, "aabab": 1}),
+    ]
+    for x in elements:
+        assert normalize(basis_expansion(x) - basis_expansion(x)).is_zero()
+        for letter in "ab":
+            bracket_with_letter(x, letter)
+        for y in elements:
+            bracket(x, y)
+    for k, l in ((1, 1), (2, 1), (2, 3), (3, 3)):
+        kernels.pair_matrix.__wrapped__(k, l)
+    for tree in trees:
+        assert _tree_poly(tree) == snapshot[tree], tree
+
+
 def test_engel_examples():
     assert engel(0) == normalize(BracketExpr.letter("a"))
     assert engel(3) == normalize(left_normed("a", "b", "b", "b"))

@@ -199,6 +199,14 @@ GOLDEN_STDOUT = [
      "7ff9535cc8d857b9886469a2eff3a336e90390ff4c69450d930f22bbf152812b"),
     (("normalize", "[[a,b,b],[a,b]] + 2*[a,b,a,b,b] - [[a,b],[a,b,b]]"),
      "1388df954f7432172b4b6204010b72d72f89e51e48737da7342b7f8d1a0e4694"),
+    (("family", "qbad", "--n", "3"),
+     "26fb5f70cb36632d264f387fd98a5441517c418e6511cbd845cb53765f848e5d"),
+    (("kernel", "2", "6", "--certify"),
+     "080b31db9ef6721fa3b1d0bdcc53ba2e9f06404bb5785fc1678bc4b2a5bb8346"),
+    (("basis", "5", "4", "--format", "latex"),
+     "dffc872907477e0262fb6aab9d1ea164e8a5123f4ab1ad25beaacd0f64a209c4"),
+    (("normalize", "[a,b] - [a,b]"),
+     "c624ad1ecd093e2cab7bd49e9870efc34834c588967bc27f6b25ac8961e53b6c"),
 ]
 
 

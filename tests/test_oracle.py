@@ -1,9 +1,11 @@
 """Matrix-evaluation oracle: sound rejection, evidence-only passes."""
 
 import dataclasses
+import random
 
 import pytest
 
+from helpers import random_bidegree, random_expr
 from liering.algebra import left_normed, normalize
 from liering.families import i2_certificate, i33_certificate
 from liering.kernels import IdentityCertificate, kernel_certificates, verify_certificate
@@ -121,10 +123,44 @@ def test_oracle_validation():
     four = i2_certificate(4)
     corrupted = dataclasses.replace(four, A=2 * four.A, verified=False)
     assert not oracle_check(corrupted, trials=5, seed=1).passed
+    assign = random_assignment(4, 1)
     for modulus in (1, 0, -7):
         with pytest.raises(ValueError):
             oracle_check(corrupted, trials=5, seed=1, modulus=modulus)
+        with pytest.raises(ValueError):
+            evaluate_certificate(corrupted, assign, modulus=modulus)
+        with pytest.raises(ValueError):
+            evaluate_element(corrupted.A, assign, modulus=modulus)
+        with pytest.raises(ValueError):
+            evaluate_expr(left_normed("a", "b"), assign, modulus=modulus)
     assert not oracle_check(corrupted, trials=5, seed=1, modulus=2).passed
+
+
+def test_modulus_reduces_the_integer_value():
+    rng = random.Random(4403)
+    four = i2_certificate(4)
+    certs = [i2_certificate(2), four, i33_certificate(1), i33_certificate(2),
+             dataclasses.replace(four, A=2 * four.A, verified=False)]
+    exprs = []
+    while len(exprs) < 6:
+        expr = random_expr(rng, *random_bidegree(rng, 8, 2))
+        if not normalize(expr).is_zero():
+            exprs.append(expr)
+    for seed in range(3):
+        assign = random_assignment(4, 4403 + seed)
+        exact_certs = [evaluate_certificate(cert, assign) for cert in certs]
+        exact_exprs = [evaluate_expr(expr, assign) for expr in exprs]
+        for p in (2, 3, 101):
+            def mod(mat):
+                return tuple(tuple(v % p for v in row) for row in mat)
+
+            for cert, exact in zip(certs, exact_certs):
+                assert evaluate_certificate(cert, assign, modulus=p) == mod(exact)
+            for expr, exact in zip(exprs, exact_exprs):
+                assert evaluate_expr(expr, assign, modulus=p) == mod(exact)
+            # Some exact values lie outside [0, p), so the comparison is not vacuous.
+            assert mod(exact_certs[-1]) != exact_certs[-1]
+            assert any(mod(exact) != exact for exact in exact_exprs)
 
 
 def test_sensitivity_every_small_basis_element_is_seen():

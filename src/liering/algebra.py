@@ -15,6 +15,17 @@ the expansion of [w] has coefficient 1 on w and is otherwise supported on
 lexicographically larger rearrangements of w.  A nonzero residual after
 back-substitution can only mean a bug, so it raises instead of truncating.
 
+``bracket`` solves a smaller system.  [x, y] is a Lie polynomial, and a Lie
+polynomial is fixed by its coefficients on the Lyndon words alone, since
+the Lyndon x Lyndon block of the basis expansion is unit triangular as
+well.  So ``bracket`` computes xy - yx on the Lyndon words of its bidegree
+only and back-substitutes on that block, which ``_lyndon_block`` reads off
+the standard factorizations.  That cache holds one sparse block per
+bidegree the pair map and the families bracket into: dim L_{k,l} rows, not
+the whole C(k+l, k)-word vocabulary with one expansion per basis word that
+``_context`` holds (429 against 6435 words at (7, 8)).  ``normalize``
+keeps the full-vocabulary solve and its residual check.
+
 Every sum of word or tree dicts goes through ``_accumulate(out, terms,
 scale)``, which adds scale * terms into ``out`` in place, and every xy - yx
 on word dicts through ``_commutator``.  The caller owns ``out``: it is a
@@ -40,6 +51,7 @@ from .words import (
     is_lyndon,
     lyndon_bracket,
     lyndon_words,
+    standard_factorization,
     tree_bidegree,
 )
 from .words import bidegree as word_bidegree
@@ -468,14 +480,99 @@ def basis_expansion(x: LieElement) -> BracketExpr:
     return BracketExpr({lyndon_bracket(w): c for w, c in x.coeffs.items()})
 
 
+def _expansion(x: LieElement) -> tuple[Mapping[str, int], int]:
+    """(word dict, scale) with scale * dict the associative expansion of x.
+
+    A one-term element hands out its shared ``_tree_poly`` dict unscaled,
+    so nothing is copied; read it, never write to it.
+    """
+    if len(x.coeffs) == 1:
+        ((word, c),) = x.coeffs.items()
+        return _tree_poly(lyndon_bracket(word)), c
+    return _element_poly(x), 1
+
+
+def _prefix_groups(words: tuple[str, ...]) -> dict[tuple[int, int], tuple]:
+    """(prefix length, a's in the prefix) -> the (index, word) pairs it fits."""
+    groups: dict[tuple[int, int], list[tuple[int, str]]] = {}
+    for j, z in enumerate(words):
+        a_count = 0
+        for n in range(1, len(z)):
+            a_count += z[n - 1] == "a"
+            groups.setdefault((n, a_count), []).append((j, z))
+    return {key: tuple(pairs) for key, pairs in groups.items()}
+
+
+def _commutator_on(p: Mapping[str, int], p_bd: tuple[int, int], q: Mapping[str, int],
+                   q_bd: tuple[int, int], groups) -> dict[int, int]:
+    """Coefficients of pq - qp on the words of ``groups``, by word index.
+
+    p and q are homogeneous of bidegrees p_bd and q_bd, so a word z can meet
+    xy (x, y one of p, q) only if its prefix of length |x| has x's bidegree:
+    the coefficient is x(z[:|x|]) * y(z[|x|:]), and other words are skipped.
+    """
+    out: dict[int, int] = {}
+    for x, x_bd, y, sign in ((p, p_bd, q, 1), (q, q_bd, p, -1)):
+        n = x_bd[0] + x_bd[1]
+        xg, yg = x.get, y.get
+        for j, z in groups.get((n, x_bd[0]), ()):
+            c = xg(z[:n])
+            if c:
+                c *= yg(z[n:], 0)
+                if c:
+                    out[j] = out.get(j, 0) + sign * c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lyndon_block(k: int, l: int):
+    """The Lyndon x Lyndon block of the basis expansion, for weight >= 2.
+
+    Returns (Lyndon words, their prefix groups, rows): row i lists the pairs
+    (j, <[w_i], w_j>) with j > i and a nonzero entry.  Each row is read off
+    the standard factorization [w] = [[u], [v]] and the cached expansions of
+    u and v, never from an expansion at (k, l) itself.  The row must lead
+    with 1 at w_i; anything else means the triangular structure is broken.
+    """
+    words = lyndon_words(k, l)
+    groups = _prefix_groups(words)
+    rows = []
+    for i, w in enumerate(words):
+        u, v = standard_factorization(w)
+        row = _commutator_on(_tree_poly(lyndon_bracket(u)), word_bidegree(u),
+                             _tree_poly(lyndon_bracket(v)), word_bidegree(v), groups)
+        entries = sorted((j, e) for j, e in row.items() if e)
+        if not entries or entries[0] != (i, 1):
+            raise InconsistencyError(f"Lyndon block is not unit triangular at {w!r}")
+        rows.append(tuple(entries[1:]))
+    return words, groups, tuple(rows)
+
+
 def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """Normalized bracket of two basis-coordinate elements."""
+    """Normalized bracket of two basis-coordinate elements.
+
+    [x, y] is a Lie polynomial, so its coefficients on the Lyndon words of
+    its bidegree determine it: they are back-substituted on the Lyndon block.
+    """
     if x.is_zero() or y.is_zero():
         if x.bidegree is not None and y.bidegree is not None:
             return LieElement.zero((x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1]))
         return LieElement.zero()
     bd = (x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1])
-    return _reduce(_commutator(_element_poly(x), _element_poly(y)), bd)
+    (px, cx), (py, cy) = _expansion(x), _expansion(y)
+    words, groups, rows = _lyndon_block(*bd)
+    residual = [0] * len(words)
+    for j, c in _commutator_on(px, x.bidegree, py, y.bidegree, groups).items():
+        residual[j] = c
+    scale = cx * cy
+    out: dict[str, int] = {}
+    for i, row in enumerate(rows):
+        c = residual[i]
+        if c:
+            out[words[i]] = scale * c
+            for j, e in row:
+                residual[j] -= c * e
+    return LieElement._make(bd, out)
 
 
 def bracket_with_letter(x: LieElement, letter: str) -> LieElement:

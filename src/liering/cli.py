@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import dims
-from .algebra import normalize, parse_expr
+from .algebra import MAX_DEPTH, normalize, parse_expr
 from .families import FAMILY_BUILDERS
 from .kernels import (
     certificate_from_dict,
@@ -55,7 +55,16 @@ def _cmd_dims(args) -> int:
     return 0
 
 
+def _check_weight(k: int, l: int) -> None:
+    # Lyndon brackets and their expansions recurse once per letter, so a
+    # weight past the parser's depth limit would end in a RecursionError.
+    if k + l > MAX_DEPTH:
+        raise ValueError(f"weight {k + l} exceeds the limit of {MAX_DEPTH}")
+
+
 def _cmd_basis(args) -> int:
+    if args.format == "latex":
+        _check_weight(args.k, args.l)
     words = lyndon_words(args.k, args.l)
     if args.format == "json":
         _emit_json({"k": args.k, "l": args.l, "dim": len(words), "words": list(words)})
@@ -69,6 +78,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    _check_weight(args.k, args.l)
     pm = pair_matrix(args.k, args.l)
     data = {
         "k": pm.k,
@@ -98,6 +108,7 @@ def _family_comparison(k: int, l: int):
 
 
 def _cmd_kernel(args) -> int:
+    _check_weight(args.k, args.l)
     lattice = kernel_lattice(args.k, args.l)
     data = {
         "k": args.k,

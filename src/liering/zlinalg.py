@@ -290,8 +290,10 @@ def echelon(m: IntMatrix) -> Echelon:
     lattice = canonical_lattice(m.cols, generators)
     if lattice.rank != len(generators):
         raise AssertionError("kernel generators were not independent")
+    # M is sparse, so each row is checked on its nonzero entries only.
+    sparse_rows = [[(j, c) for j, c in enumerate(row) if c] for row in m.entries]
     for vector in lattice.basis:
-        if any(m.apply(vector)):
+        if any(sum(c * vector[j] for j, c in row) for row in sparse_rows):
             raise AssertionError("computed kernel vector does not annihilate the matrix")
     return Echelon(len(pivots), pivots, lattice)
 

@@ -4,11 +4,19 @@ import random
 
 import pytest
 
-from helpers import brute_expand_expr, random_bidegree, random_expr
+from helpers import (
+    brute_expand_expr,
+    brute_expand_tree,
+    random_bidegree,
+    random_expr,
+    reference_bracket,
+)
+from liering import algebra, families
 from liering.algebra import (
     AssocPoly,
     BidegreeError,
     BracketExpr,
+    InconsistencyError,
     LieElement,
     assoc_expand,
     basis_expansion,
@@ -134,7 +142,7 @@ def test_cached_tree_polys_are_never_mutated():
     # _accumulate writes into its first argument, so a cached _tree_poly dict
     # handed to it as `out` would corrupt every later expansion.
     from liering import kernels
-    from liering.algebra import _tree_poly
+    from liering.algebra import _lyndon_block, _tree_poly
 
     trees = [lyndon_bracket(w) for n in range(1, 6) for k in range(n + 1)
              for w in lyndon_words(k, n - k)]
@@ -154,8 +162,80 @@ def test_cached_tree_polys_are_never_mutated():
             bracket(x, y)
     for k, l in ((1, 1), (2, 1), (2, 3), (3, 3)):
         kernels.pair_matrix.__wrapped__(k, l)
+    for k, l in ((1, 1), (2, 2), (3, 2), (3, 3)):
+        _lyndon_block.__wrapped__(k, l)
+    for k, l in ((2, 2), (2, 4), (3, 3)):
+        for cert in kernels.kernel_certificates(k, l):
+            assert kernels.verify_certificate(cert)
+            assert not kernels.verify_certificate(
+                kernels.IdentityCertificate(k, l, 2 * cert.A, cert.B))
     for tree in trees:
         assert _tree_poly(tree) == snapshot[tree], tree
+
+
+def _random_element(rng, k, l):
+    words = lyndon_words(k, l)
+    chosen = rng.sample(words, min(len(words), rng.randint(2, 4)))
+    return LieElement((k, l), {w: rng.choice((-3, -2, -1, 1, 2, 3)) for w in chosen})
+
+
+def test_bracket_matches_reference_on_random_elements():
+    # x has two to four terms; y is random, and in the last 60 pairs it has
+    # two terms as well (weight 5 + 5 is the only way to fit both in 10).
+    rng = random.Random(4404)
+    multi = [(k, n - k) for n in range(5, 10) for k in range(n + 1)
+             if len(lyndon_words(k, n - k)) >= 2]
+    for i in range(300):
+        if i < 240:
+            x = _random_element(rng, *rng.choice(multi))
+            y = _random_element(rng, *random_bidegree(rng, 10 - x.weight()))
+        else:
+            x, y = (_random_element(rng, *rng.choice(((2, 3), (3, 2)))) for _ in range(2))
+            assert len(x.coeffs) == len(y.coeffs) == 2
+        if rng.random() < 0.5:
+            x, y = y, x
+        expected = reference_bracket(x, y)
+        assert bracket(x, y) == expected, (x, y)
+        assert bracket(x, y).bidegree == expected.bidegree
+
+
+def test_family_brackets_match_reference(monkeypatch):
+    # Every bracket the i2 and i33 families take for n <= 4 (engel_pair and
+    # engel_triple) is recomputed on the full-vocabulary reference path.
+    checked = []
+
+    def checked_bracket(x, y):
+        out = bracket(x, y)
+        assert out == reference_bracket(x, y), (x, y)
+        checked.append((x, y))
+        return out
+
+    monkeypatch.setattr(families, "bracket", checked_bracket)
+    families.engel_pair.cache_clear()
+    families.engel_triple.cache_clear()
+    try:
+        for n in range(1, 5):
+            families.i2_certificate(2 * n)
+            families.qbad_certificate(n)
+            families.i33_certificate(n)
+    finally:
+        families.engel_pair.cache_clear()
+        families.engel_triple.cache_clear()
+    assert len(checked) >= 40
+
+
+@pytest.mark.parametrize("bd", [(1, 1), (2, 3), (3, 3), (4, 2)])
+def test_lyndon_block_refuses_a_non_unit_leading_coefficient(monkeypatch, bd):
+    real = algebra._tree_poly
+
+    def doubled_lead(tree):
+        poly = dict(real(tree))
+        poly[min(poly)] *= 2
+        return poly
+
+    monkeypatch.setattr(algebra, "_tree_poly", doubled_lead)
+    with pytest.raises(InconsistencyError, match="unit triangular"):
+        algebra._lyndon_block.__wrapped__(*bd)
 
 
 def test_engel_examples():
@@ -225,6 +305,16 @@ def test_normalize_round_trip_against_independent_expansion():
         element = normalize(expr)
         regenerated = assoc_expand(basis_expansion(element))
         assert regenerated.coeffs == brute_expand_expr(expr)
+
+
+def test_random_expr_draws_nonzero_trees():
+    # Where some tree of the bidegree is nonzero, every drawn tree is.
+    rng = random.Random(20240811)
+    for _ in range(300):
+        k, l = random_bidegree(rng, 10)
+        expr = random_expr(rng, k, l)
+        if k + l == 1 or (k and l):
+            assert all(brute_expand_tree(tree) for tree in expr.terms), (k, l)
 
 
 def test_jacobi_and_antisymmetry_on_random_elements():

@@ -181,9 +181,39 @@ def test_normalize_accepts_the_depth_limit(capsys):
         assert json.loads(out)["terms"] == [["1", "a" + "b" * MAX_DEPTH]]
 
 
-# SHA-256 of stdout for a fixed command list, recorded with the implementation
-# that reduced each pair-map slice three times (rank, kernel HNF, Smith form).
-# Any change to a printed number or to the formatting breaks the match.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "1", "1200"),
+        ("basis", "1", "1200", "--format", "latex"),
+        ("theta", "1", "1200"),
+        ("kernel", "1", str(MAX_DEPTH), "--certify"),
+        ("theta", str(MAX_DEPTH), "1"),
+    ],
+)
+def test_weight_past_the_depth_limit_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"limit of {MAX_DEPTH}" in err
+
+
+def test_weight_at_the_depth_limit_is_accepted(capsys):
+    for argv in (
+        ("kernel", "1", str(MAX_DEPTH - 1), "--certify"),
+        ("theta", str(MAX_DEPTH - 1), "1"),
+        ("basis", "1", str(MAX_DEPTH - 1), "--format", "latex"),
+        ("basis", "1", "1200"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out, argv
+
+
+# SHA-256 of stdout for a fixed command list, each recorded before the change
+# it guards: the first seven with the implementation that reduced each
+# pair-map slice three times (rank, kernel HNF, Smith form), the last four
+# with the bracket that reduced over every word of its bidegree.  Any change
+# to a printed number or to the formatting breaks the match.
 GOLDEN_STDOUT = [
     (("kernel", "5", "5", "--certify"),
      "dd8be87e1b65d8ed6e2d62aed4fba6358d02b954fc8ac2d4020adca688572b52"),
@@ -207,6 +237,14 @@ GOLDEN_STDOUT = [
      "dffc872907477e0262fb6aab9d1ea164e8a5123f4ab1ad25beaacd0f64a209c4"),
     (("normalize", "[a,b] - [a,b]"),
      "c624ad1ecd093e2cab7bd49e9870efc34834c588967bc27f6b25ac8961e53b6c"),
+    (("kernel", "6", "6", "--certify"),
+     "6dc40783bd851c06ed72ae39db3d894fba035de99ba4b740b5a311bb61cf12fa"),
+    (("theta", "5", "5"),
+     "dec3076f76a0ba4e72f5a787db95450a5bd1b6d50e9da5ce1437d4642beaa062"),
+    (("family", "i33", "--n", "3"),
+     "c8a6895cd3f045744385342a6f07241cac921c5d736b552db66993a0ed80350d"),
+    (("family", "i2", "--m", "8"),
+     "372baa635c4edcd1b13b4693e27ada67aa494d3c4fbab88c90cdad3d4017285c"),
 ]
 
 

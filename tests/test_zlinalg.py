@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liering import zlinalg
 from liering.zlinalg import (
     IntMatrix,
     KernelLattice,
@@ -84,6 +85,23 @@ def test_echelon_examples():
     ech = echelon(IntMatrix([], cols=2))  # no rows: everything is kernel
     assert (ech.rank, ech.pivots) == (0, ())
     assert ech.kernel.basis == ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("wrong", [(1, 0, 0, 0, 0), (0, 0, 0, 1, 1), (0, 1, 0, 0, -1)])
+def test_echelon_refuses_a_vector_off_the_kernel(monkeypatch, wrong):
+    # The annihilation check reads only the nonzero entries of each row, so
+    # a wrong vector must still be caught whichever entry it spoils.
+    m = IntMatrix([[0, 2, 0, 0, 1], [1, 0, 0, 3, 0], [0, 0, 0, 0, 0]])
+    assert all(v == 0 for v in m.apply(echelon(m).kernel.basis[0])) and any(m.apply(wrong))
+    real = zlinalg.canonical_lattice
+
+    def spoiled(ambient, vectors):
+        lat = real(ambient, vectors)
+        return KernelLattice(ambient, (wrong,) + lat.basis[1:], canonical=True)
+
+    monkeypatch.setattr(zlinalg, "canonical_lattice", spoiled)
+    with pytest.raises(AssertionError, match="does not annihilate"):
+        echelon(m)
 
 
 def test_kernel_is_pure():

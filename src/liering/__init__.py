@@ -1,9 +1,10 @@
 """liering: exact integer computations in the free Lie ring on two letters.
 
 The package builds Lyndon-Shirshov bases, normalizes bracket expressions
-onto them through the free associative ring, computes the integer kernel
-lattices of the pair map (A, B) -> [A,a] + [B,b] bidegree by bidegree, and
-generates and re-verifies closed-form families of bracket identities.
+onto them by bracketing Lyndon coordinates from the leaves up, computes
+the integer kernel lattices of the pair map (A, B) -> [A,a] + [B,b]
+bidegree by bidegree, and generates and re-verifies closed-form families
+of bracket identities.
 """
 
 from .algebra import (

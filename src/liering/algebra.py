@@ -7,24 +7,25 @@ Two element representations are kept honest against each other:
 * :class:`LieElement`, integer coordinates on the Lyndon-Shirshov basis of
   one bidegree, is the canonical output shape.
 
-``normalize`` maps the first onto the second through the free associative
-ring: every bracket node expands as [x, y] = xy - yx, and the resulting
-word polynomial is back-substituted against the expansions of the Lyndon
-basis brackets.  Those expansions form a unit triangular system, because
-the expansion of [w] has coefficient 1 on w and is otherwise supported on
-lexicographically larger rearrangements of w.  A nonzero residual after
-back-substitution can only mean a bug, so it raises instead of truncating.
-
-``bracket`` solves a smaller system.  [x, y] is a Lie polynomial, and a Lie
-polynomial is fixed by its coefficients on the Lyndon words alone, since
-the Lyndon x Lyndon block of the basis expansion is unit triangular as
-well.  So ``bracket`` computes xy - yx on the Lyndon words of its bidegree
+``bracket`` is the one solve.  [x, y] is a Lie polynomial, and a Lie
+polynomial is fixed by its coefficients on the Lyndon words alone (Reutenauer,
+*Free Lie Algebras*, Ch. 4-5): the Lyndon x Lyndon block of the basis
+expansion is unit triangular, since the expansion of [w] has coefficient 1
+on w and is otherwise supported on lexicographically larger rearrangements
+of w.  So ``bracket`` computes xy - yx on the Lyndon words of its bidegree
 only and back-substitutes on that block, which ``_lyndon_block`` reads off
-the standard factorizations.  That cache holds one sparse block per
-bidegree the pair map and the families bracket into: dim L_{k,l} rows, not
-the whole C(k+l, k)-word vocabulary with one expansion per basis word that
-``_context`` holds (429 against 6435 words at (7, 8)).  ``normalize``
-keeps the full-vocabulary solve and its residual check.
+the standard factorizations and caches per bidegree (dim L_{k,l} rows, 429
+at (7, 8) against 6435 words).  A block row that does not lead with 1
+raises instead of truncating.
+
+``normalize`` maps the first representation onto the second by folding
+``bracket`` over each tree: a leaf is its letter and [L, R] is the bracket
+of the folded children.  So neither ``normalize`` nor ``bracket`` asks
+``_tree_poly``, the cached expansion [x, y] = xy - yx of a tree in the free
+associative ring, for anything but Lyndon brackets, and its cache is
+bounded by the Lyndon words reached.  ``assoc_expand`` applies the same
+expansion to an arbitrary expression, and caches its trees, for checks
+against the associative ring.
 
 Every sum of word or tree dicts goes through ``_accumulate(out, terms,
 scale)``, which adds scale * terms into ``out`` in place, and every xy - yx
@@ -46,7 +47,6 @@ from .words import (
     BracketTree,
     Leaf,
     Node,
-    all_words,
     bracket_string,
     is_lyndon,
     lyndon_bracket,
@@ -75,23 +75,7 @@ class AssocPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[str, int] | None = None):
-        data: dict[str, int] = {}
-        if coeffs:
-            for word, c in coeffs.items():
-                if c:
-                    data[word] = c
-        self.coeffs = data
-
-    @classmethod
-    def _wrap(cls, data: dict[str, int]) -> "AssocPoly":
-        # Fast path for internal callers that already hold a clean dict.
-        poly = object.__new__(cls)
-        poly.coeffs = data
-        return poly
-
-    @classmethod
-    def word(cls, word: str) -> "AssocPoly":
-        return cls({word: 1})
+        self.coeffs = {word: c for word, c in (coeffs or {}).items() if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -103,37 +87,6 @@ class AssocPoly:
         if not isinstance(other, AssocPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "AssocPoly") -> "AssocPoly":
-        return AssocPoly._wrap(_accumulate(dict(self.coeffs), other.coeffs))
-
-    def __neg__(self) -> "AssocPoly":
-        return AssocPoly._wrap({w: -c for w, c in self.coeffs.items()})
-
-    def __sub__(self, other: "AssocPoly") -> "AssocPoly":
-        return AssocPoly._wrap(_accumulate(dict(self.coeffs), other.coeffs, -1))
-
-    def __rmul__(self, scalar: int) -> "AssocPoly":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        if scalar == 0:
-            return AssocPoly._wrap({})
-        return AssocPoly._wrap({w: scalar * c for w, c in self.coeffs.items()})
-
-    def __mul__(self, other: "AssocPoly") -> "AssocPoly":
-        """Concatenation product."""
-        if not isinstance(other, AssocPoly):
-            return NotImplemented
-        out: dict[str, int] = {}
-        for v, cv in other.coeffs.items():
-            _accumulate(out, {u + v: cu for u, cu in self.coeffs.items()}, cv)
-        return AssocPoly._wrap(out)
-
-    def commutator(self, other: "AssocPoly") -> "AssocPoly":
-        return AssocPoly._wrap(_commutator(self.coeffs, other.coeffs))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -287,7 +240,7 @@ def assoc_expand(expr: ExprLike) -> AssocPoly:
     out: dict[str, int] = {}
     for tree, c in expr.terms.items():
         _accumulate(out, _tree_poly(tree), c)
-    return AssocPoly._wrap(out)
+    return AssocPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -407,67 +360,6 @@ class LieElement:
         return f"LieElement({self.bidegree}, {self})"
 
 
-# ---------------------------------------------------------------------------
-# normalization
-
-
-@lru_cache(maxsize=None)
-def _context(k: int, l: int):
-    """Reduction context for one bidegree.
-
-    Returns (vocabulary, word index, rows) where each row is
-    (lyndon word, its index, expansion pairs sorted by word index).  The
-    leading pair of every row must be (own index, 1); anything else means
-    the triangular structure is broken and nothing can be trusted.
-    """
-    vocab = all_words(k, l)
-    index = {w: i for i, w in enumerate(vocab)}
-    rows = []
-    for w in lyndon_words(k, l):
-        poly = _tree_poly(lyndon_bracket(w))
-        pairs = sorted((index[u], c) for u, c in poly.items())
-        widx = index[w]
-        if pairs[0] != (widx, 1):
-            raise InconsistencyError(f"basis expansion is not unit triangular at {w!r}")
-        rows.append((w, widx, tuple(pairs)))
-    return vocab, index, tuple(rows)
-
-
-def _reduce(poly_coeffs: Mapping[str, int], bd: tuple[int, int]) -> LieElement:
-    """Back-substitute a homogeneous word polynomial onto the Lyndon basis."""
-    k, l = bd
-    vocab, index, rows = _context(k, l)
-    residual = [0] * len(vocab)
-    for word, c in poly_coeffs.items():
-        residual[index[word]] = c
-    out: dict[str, int] = {}
-    for word, widx, pairs in rows:
-        c = residual[widx]
-        if c:
-            out[word] = c
-            for i, e in pairs:
-                residual[i] -= c * e
-    if any(residual):
-        raise InconsistencyError(
-            f"nonzero residual after back-substitution in bidegree {bd}; "
-            "the input polynomial does not lie in the free Lie ring"
-        )
-    return LieElement._make((k, l), out)
-
-
-def normalize(expr: ExprLike) -> LieElement:
-    """The unique Lyndon-basis representation of a homogeneous expression.
-
-    Raises :class:`BidegreeError` when the expression mixes bidegrees and
-    :class:`InconsistencyError` if back-substitution leaves a residual.
-    """
-    expr = as_expr(expr)
-    bd = expr.bidegree()
-    if bd is None:
-        return LieElement.zero()
-    return _reduce(assoc_expand(expr).coeffs, bd)
-
-
 def _element_poly(x: LieElement) -> dict[str, int]:
     out: dict[str, int] = {}
     for word, c in x.coeffs.items():
@@ -575,11 +467,40 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     return LieElement._make(bd, out)
 
 
+def _letter(letter: str) -> LieElement:
+    return LieElement._make((1, 0) if letter == "a" else (0, 1), {letter: 1})
+
+
 def bracket_with_letter(x: LieElement, letter: str) -> LieElement:
     """Normalized [x, letter]; the building block of the pair map."""
     if letter not in LETTERS:
         raise ValueError(f"letter must be one of {LETTERS}, got {letter!r}")
-    return bracket(x, LieElement._make((1, 0) if letter == "a" else (0, 1), {letter: 1}))
+    return bracket(x, _letter(letter))
+
+
+# ---------------------------------------------------------------------------
+# normalization
+
+
+def _fold(tree: BracketTree) -> LieElement:
+    """Lyndon coordinates of one tree: a leaf is its letter, [L, R] a bracket."""
+    if isinstance(tree, Leaf):
+        return _letter(tree.letter)
+    return bracket(_fold(tree.left), _fold(tree.right))
+
+
+def normalize(expr: ExprLike) -> LieElement:
+    """The unique Lyndon-basis representation of a homogeneous expression.
+
+    Each tree is folded through :func:`bracket` from the leaves up, so the
+    Lyndon-block solve is the only one.  Raises :class:`BidegreeError` when
+    the expression mixes bidegrees.
+    """
+    expr = as_expr(expr)
+    bd = expr.bidegree()
+    if bd is None:
+        return LieElement.zero()
+    return sum((c * _fold(tree) for tree, c in expr.terms.items()), LieElement.zero(bd))
 
 
 def engel_tree(n: int) -> BracketTree:

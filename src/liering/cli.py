@@ -125,15 +125,17 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    builder = FAMILY_BUILDERS[args.name]
     if args.name == "i2":
         if args.m is None:
             raise ValueError("family i2 needs --m")
-        cert = builder(args.m)
+        size, bidegree = args.m, (2, args.m)
     else:
         if args.n is None:
             raise ValueError(f"family {args.name} needs --n")
-        cert = builder(args.n)
+        size = args.n
+        bidegree = (2, 2 * size) if args.name == "qbad" else (3, 3 * size)
+    _check_weight(*bidegree)
+    cert = FAMILY_BUILDERS[args.name](size)
     if args.format == "latex":
         print(certificate_latex(cert))
     else:
@@ -144,6 +146,7 @@ def _cmd_family(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         cert = certificate_from_dict(json.load(handle))
+    _check_weight(cert.k, cert.l)
     verified = verify_certificate(cert)
     report = {"certificate": certificate_to_dict(cert), "verified": verified}
     if args.oracle:

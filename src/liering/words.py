@@ -12,7 +12,7 @@ read-only use is safe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 LETTERS = ("a", "b")
@@ -27,10 +27,26 @@ class Leaf:
 
 @dataclass(frozen=True, slots=True)
 class Node:
-    """The bracket [left, right] of two subtrees."""
+    """The bracket [left, right] of two subtrees.
+
+    The hash is computed once, from the children's stored hashes, so hashing
+    a tree costs O(1) instead of a walk over the whole subtree.
+    """
 
     left: "BracketTree"
     right: "BracketTree"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: string hashes differ between processes,
+        # so a stored _hash must never be unpickled.
+        return Node, (self.left, self.right)
 
 
 BracketTree = Leaf | Node
@@ -69,8 +85,10 @@ def all_words(k: int, l: int) -> tuple[str, ...]:
     n = k + l
     words = []
     for positions in itertools.combinations(range(n), k):
-        marks = set(positions)
-        words.append("".join("a" if i in marks else "b" for i in range(n)))
+        chars = ["b"] * n
+        for i in positions:
+            chars[i] = "a"
+        words.append("".join(chars))
     return tuple(sorted(words))
 
 
@@ -85,19 +103,22 @@ def lyndon_words(k: int, l: int) -> tuple[str, ...]:
 
 
 def standard_factorization(word: str) -> tuple[str, str]:
-    """Split a Lyndon word w = uv with v its longest proper Lyndon suffix."""
+    """Split a Lyndon word w = uv with v its longest proper Lyndon suffix.
+
+    That suffix is also the lexicographically smallest proper suffix
+    (Lothaire, *Combinatorics on Words*, Prop. 5.1.3), which is how it is
+    found here.
+    """
     if not is_lyndon(word):
         raise ValueError(f"{word!r} is not a Lyndon word")
     if len(word) < 2:
         raise ValueError("a single letter has no factorization")
-    for i in range(1, len(word)):
-        if is_lyndon(word[i:]):
-            u, v = word[:i], word[i:]
-            # The left part of a standard factorization is Lyndon as well.
-            if not is_lyndon(u):
-                raise AssertionError(f"standard factorization broke on {word!r}")
-            return u, v
-    raise AssertionError(f"no Lyndon suffix found in {word!r}")
+    v = min(word[i:] for i in range(1, len(word)))
+    u = word[: len(word) - len(v)]
+    # Both parts of a standard factorization are Lyndon.
+    if not (is_lyndon(u) and is_lyndon(v)):
+        raise AssertionError(f"standard factorization broke on {word!r}")
+    return u, v
 
 
 @lru_cache(maxsize=None)

@@ -2,16 +2,18 @@
 
 The expanders here are written independently of the package internals so
 that normalization is checked against a second implementation, not against
-itself.  ``reference_bracket`` is the other way round: it is the package's
-slow bracket path, kept to check the fast one.
+itself.  ``reference_normalize`` and ``reference_bracket`` solve over every
+word of the bidegree, with a residual check, where the package solves on
+the Lyndon words only; they share nothing with it but the Lyndon brackets.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
-from liering.algebra import BracketExpr, LieElement, _commutator, _element_poly, _reduce
-from liering.words import Leaf, Node
+from liering.algebra import BracketExpr, InconsistencyError, LieElement, basis_expansion
+from liering.words import Leaf, Node, all_words, lyndon_bracket, lyndon_words
 
 
 def rotations(word: str) -> list[str]:
@@ -45,15 +47,61 @@ def brute_expand_expr(expr: BracketExpr) -> dict[str, int]:
     return {w: c for w, c in out.items() if c}
 
 
+@lru_cache(maxsize=None)
+def reference_context(k: int, l: int):
+    """(vocabulary, word index, rows) for the full-vocabulary solve of (k, l).
+
+    Each row is (Lyndon word, its index, expansion pairs sorted by word
+    index).  The leading pair of every row must be (own index, 1).
+    """
+    vocab = all_words(k, l)
+    index = {w: i for i, w in enumerate(vocab)}
+    rows = []
+    for w in lyndon_words(k, l):
+        pairs = sorted((index[u], c) for u, c in brute_expand_tree(lyndon_bracket(w)).items())
+        widx = index[w]
+        if pairs[0] != (widx, 1):
+            raise InconsistencyError(f"basis expansion is not unit triangular at {w!r}")
+        rows.append((w, widx, tuple(pairs)))
+    return vocab, index, tuple(rows)
+
+
+def reference_reduce(poly_coeffs, bd: tuple[int, int]) -> LieElement:
+    """Back-substitute a homogeneous word polynomial onto the Lyndon basis."""
+    vocab, index, rows = reference_context(*bd)
+    residual = [0] * len(vocab)
+    for word, c in poly_coeffs.items():
+        residual[index[word]] = c
+    out: dict[str, int] = {}
+    for word, widx, pairs in rows:
+        c = residual[widx]
+        if c:
+            out[word] = c
+            for i, e in pairs:
+                residual[i] -= c * e
+    if any(residual):
+        raise InconsistencyError(
+            f"nonzero residual after back-substitution in bidegree {bd}; "
+            "the input polynomial does not lie in the free Lie ring"
+        )
+    return LieElement(bd, out)
+
+
+def reference_normalize(expr: BracketExpr) -> LieElement:
+    """Lyndon coordinates of the associative expansion, over every word."""
+    bd = expr.bidegree()
+    if bd is None:
+        return LieElement.zero()
+    return reference_reduce(brute_expand_expr(expr), bd)
+
+
 def reference_bracket(x: LieElement, y: LieElement) -> LieElement:
-    """[x, y] through the full-vocabulary expansion: xy - yx on every word of
-    the bidegree, back-substituted with the residual check of ``normalize``."""
+    """[x, y] through ``reference_normalize`` of the bracketed basis expansions."""
     if x.is_zero() or y.is_zero():
         if x.bidegree is not None and y.bidegree is not None:
             return LieElement.zero((x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1]))
         return LieElement.zero()
-    bd = (x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1])
-    return _reduce(_commutator(_element_poly(x), _element_poly(y)), bd)
+    return reference_normalize(basis_expansion(x).bracket(basis_expansion(y)))
 
 
 def random_bidegree(rng: random.Random, max_weight: int, min_weight: int = 1) -> tuple[int, int]:

@@ -10,10 +10,11 @@ from helpers import (
     random_bidegree,
     random_expr,
     reference_bracket,
+    reference_normalize,
+    reference_reduce,
 )
 from liering import algebra, families
 from liering.algebra import (
-    AssocPoly,
     BidegreeError,
     BracketExpr,
     InconsistencyError,
@@ -28,6 +29,7 @@ from liering.algebra import (
     normalize,
     parse_expr,
 )
+from liering.dims import lie_dim
 from liering.words import Leaf, Node, lyndon_bracket, lyndon_words
 
 
@@ -35,16 +37,6 @@ def test_assoc_expand_examples():
     assert assoc_expand(left_normed("a", "b")).coeffs == {"ab": 1, "ba": -1}
     assert assoc_expand(left_normed("a", "b", "b")).coeffs == {"abb": 1, "bab": -2, "bba": 1}
     assert assoc_expand(BracketExpr()).is_zero()
-
-
-def test_assoc_poly_arithmetic():
-    p = AssocPoly({"ab": 2, "ba": -1})
-    q = AssocPoly({"ab": -2})
-    assert (p + q).coeffs == {"ba": -1}
-    assert (3 * p).coeffs == {"ab": 6, "ba": -3}
-    assert (p - p).is_zero()
-    assert (AssocPoly.word("a") * AssocPoly.word("b")).coeffs == {"ab": 1}
-    assert AssocPoly.word("a").commutator(AssocPoly.word("b")).coeffs == {"ab": 1, "ba": -1}
 
 
 def test_normalize_examples():
@@ -62,12 +54,48 @@ def test_normalize_zero_and_mixing():
 
 
 def test_reduce_aborts_on_non_lie_input():
-    # The single word "ab" is not a Lie element, so back-substitution must
-    # leave a residual and abort instead of truncating.
-    from liering.algebra import InconsistencyError, _reduce
-
+    # The single word "ab" is not a Lie element, so the reference
+    # back-substitution must leave a residual and abort instead of truncating.
     with pytest.raises(InconsistencyError):
-        _reduce({"ab": 1}, (1, 1))
+        reference_reduce({"ab": 1}, (1, 1))
+
+
+def _assert_matches_reference(expr):
+    got, expected = normalize(expr), reference_normalize(expr)
+    assert got == expected and got.bidegree == expected.bidegree, expr
+
+
+def test_normalize_matches_the_full_vocabulary_reference():
+    for n in range(1, 11):
+        for k in range(n + 1):
+            for word in lyndon_words(k, n - k):
+                _assert_matches_reference(BracketExpr.from_tree(lyndon_bracket(word)))
+    rng = random.Random(4405)
+    for _ in range(300):
+        k, l = random_bidegree(rng, 12, min_weight=2)
+        _assert_matches_reference(random_expr(rng, k, l, 2) + random_expr(rng, k, l))
+    for text in ("a", "-3*b", "[a,a]", "[[a,a],a] + 2*[a,[a,a]]", "[[b,b],b,b]",
+                 "[a,b] + [b,a]", "[[a,b],[a,b,b]] + [[a,b,b],[a,b]]",
+                 "[a,b,b,a] - [a,b,a,b] + [[a,b],[a,b]]"):
+        _assert_matches_reference(parse_expr(text))
+
+
+def test_tree_poly_cache_holds_only_lyndon_brackets():
+    # Folding through bracket expands Lyndon brackets only, never an input
+    # tree, so the cache stays within the Lyndon words of weight <= 10.
+    rng = random.Random(4406)
+    lyndon_trees = {lyndon_bracket(w) for n in range(1, 11) for k in range(n + 1)
+                    for w in lyndon_words(k, n - k)}
+    exprs = []
+    while len(exprs) < 200:
+        k, l = random_bidegree(rng, 10, min_weight=3)
+        expr = random_expr(rng, k, l)
+        if not set(expr.terms) & lyndon_trees:
+            exprs.append(expr)
+    algebra._tree_poly.cache_clear()
+    for expr in exprs:
+        normalize(expr)
+    assert algebra._tree_poly.cache_info().currsize <= sum(lie_dim(n) for n in range(1, 11))
 
 
 def test_bracket_examples():
@@ -105,25 +133,24 @@ def test_bracket_with_letter_matches_bracket_expr_reference():
 
 
 def test_assoc_commutator_matches_products():
+    from liering.algebra import _commutator
+
     rng = random.Random(4402)
 
     def random_poly():
-        return AssocPoly({
-            "".join(rng.choice("ab") for _ in range(rng.randint(1, 4))): rng.randint(-3, 3)
-            for _ in range(rng.randint(0, 6))
-        })
+        poly = {"".join(rng.choice("ab") for _ in range(rng.randint(1, 4))): rng.randint(-3, 3)
+                for _ in range(rng.randint(0, 6))}
+        return {w: c for w, c in poly.items() if c}
 
     for _ in range(300):
         p, q = random_poly(), random_poly()
         brute: dict[str, int] = {}
-        for u, cu in p.coeffs.items():
-            for v, cv in q.coeffs.items():
+        for u, cu in p.items():
+            for v, cv in q.items():
                 brute[u + v] = brute.get(u + v, 0) + cu * cv
                 brute[v + u] = brute.get(v + u, 0) - cu * cv
-        expected = p * q - q * p
-        assert p.commutator(q) == expected
-        assert expected.coeffs == {w: c for w, c in brute.items() if c}
-    assert AssocPoly({"a": 2, "aa": 1}).commutator(AssocPoly({"aaa": -1})).coeffs == {}
+        assert _commutator(p, q) == {w: c for w, c in brute.items() if c}
+    assert _commutator({"a": 2, "aa": 1}, {"aaa": -1}) == {}
 
 
 def test_difference_with_itself_is_typed_zero():
@@ -134,8 +161,6 @@ def test_difference_with_itself_is_typed_zero():
         assert diff.coeffs == {} and diff.bidegree == (2, 3)
     expr = parse_expr("[a,b] - 3*[[a,b],b]")
     assert isinstance(expr - expr, BracketExpr) and (expr - expr).terms == {}
-    poly = assoc_expand(expr)
-    assert isinstance(poly - poly, AssocPoly) and (poly - poly).coeffs == {}
 
 
 def test_cached_tree_polys_are_never_mutated():

@@ -189,10 +189,25 @@ def test_normalize_accepts_the_depth_limit(capsys):
         ("theta", "1", "1200"),
         ("kernel", "1", str(MAX_DEPTH), "--certify"),
         ("theta", str(MAX_DEPTH), "1"),
+        ("family", "i2", "--m", "1200"),
+        ("family", "qbad", "--n", "600"),
+        ("family", "i33", "--n", "300"),
+        ("family", "i2", "--m", str(MAX_DEPTH - 1)),
+        ("family", "qbad", "--n", str(MAX_DEPTH // 2)),
+        ("family", "i33", "--n", str(MAX_DEPTH // 3)),
     ],
 )
 def test_weight_past_the_depth_limit_is_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"limit of {MAX_DEPTH}" in err
+
+
+def test_verify_refuses_a_weight_past_the_depth_limit(capsys, tmp_path):
+    payload = tmp_path / "long.json"
+    payload.write_text(json.dumps({"k": 2, "l": 1199, "A": [["1", "a" + "b" * 1199]], "B": []}))
+    code, out, err = run(capsys, "verify", str(payload))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"limit of {MAX_DEPTH}" in err
@@ -211,9 +226,10 @@ def test_weight_at_the_depth_limit_is_accepted(capsys):
 
 # SHA-256 of stdout for a fixed command list, each recorded before the change
 # it guards: the first seven with the implementation that reduced each
-# pair-map slice three times (rank, kernel HNF, Smith form), the last four
-# with the bracket that reduced over every word of its bidegree.  Any change
-# to a printed number or to the formatting breaks the match.
+# pair-map slice three times (rank, kernel HNF, Smith form), the next eight
+# with the bracket that reduced over every word of its bidegree, the last
+# four with the normalize that reduced over every word.  Any change to a
+# printed number or to the formatting breaks the match.
 GOLDEN_STDOUT = [
     (("kernel", "5", "5", "--certify"),
      "dd8be87e1b65d8ed6e2d62aed4fba6358d02b954fc8ac2d4020adca688572b52"),
@@ -245,6 +261,15 @@ GOLDEN_STDOUT = [
      "c8a6895cd3f045744385342a6f07241cac921c5d736b552db66993a0ed80350d"),
     (("family", "i2", "--m", "8"),
      "372baa635c4edcd1b13b4693e27ada67aa494d3c4fbab88c90cdad3d4017285c"),
+    (("normalize", "b"),
+     "0f2fd543576186a1ad866ca537000770057af33358d2c33725b90df8679fbbdd"),
+    (("normalize", "[a,a]"),
+     "4ab62e52efae377012f013158e61cc4656389407ed1747a41ed9fdfce63875aa"),
+    (("normalize", "[[a,b,b,a],[a,b,b,b,a,b,a,b]] + 3*[a,[b,[a,b,b]],a,b,a,a,b,b,b]"
+                   " - 2*[[a,b],[a,b,b],[a,a,b,b,b],[a,b]]"),
+     "f46828e65782611d6913305ee80872b732244fd971032228407dd038906a5baf"),
+    (("normalize", "[a" + ",b" * MAX_DEPTH + "]"),
+     "ada3e7ff99bb9b2eb3307f9ba42e60434193d4a2db785b84a085268cc4b24afe"),
 ]
 
 

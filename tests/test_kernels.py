@@ -7,7 +7,7 @@ import pytest
 from helpers import reference_bracket
 from liering import kernels, zlinalg
 from liering.algebra import LieElement, bracket, engel
-from liering.dims import kernel_dim, kernel_dim_bigraded
+from liering.dims import kernel_dim, kernel_dim_a3, kernel_dim_bigraded
 from liering.kernels import (
     IdentityCertificate,
     certificate_from_dict,
@@ -128,6 +128,11 @@ def test_kernel_certificate_counts_match_bookkeeping():
             assert count == kernel_dim_bigraded(k, n - k), (k, n - k)
             per_weight += count
         assert per_weight == kernel_dim(n)
+
+
+def test_three_a_kernel_ranks_match_the_closed_form_up_to_m_30():
+    for m in range(1, 31):
+        assert kernel_lattice(3, m).rank == kernel_dim_a3(m), m
 
 
 def test_verify_certificate_cases():

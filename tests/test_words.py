@@ -1,6 +1,11 @@
 """Lyndon word recognition, enumeration, factorization and bracketing."""
 
+import dataclasses
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -77,6 +82,14 @@ def test_standard_factorization_recomposes():
                 assert is_lyndon(u) and is_lyndon(v)
 
 
+def test_standard_factorization_takes_the_longest_lyndon_suffix():
+    for n in range(2, 13):
+        for word in map("".join, itertools.product("ab", repeat=n)):
+            if brute_lyndon(word):
+                longest = next(word[i:] for i in range(1, n) if brute_lyndon(word[i:]))
+                assert standard_factorization(word) == (word[: n - len(longest)], longest)
+
+
 def test_lyndon_bracket_examples():
     assert lyndon_bracket("a") == Leaf("a")
     assert lyndon_bracket("abb") == Node(Node(Leaf("a"), Leaf("b")), Leaf("b"))
@@ -132,6 +145,40 @@ def test_all_words_basics():
     assert all_words(1, 1) == ("ab", "ba")
     assert len(all_words(3, 2)) == 10
     assert list(all_words(2, 2)) == sorted(all_words(2, 2))
+    for n in range(1, 11):
+        words = sorted(map("".join, itertools.product("ab", repeat=n)))
+        for k in range(n + 1):
+            assert all_words(k, n - k) == tuple(w for w in words if w.count("a") == k)
+
+
+def _two_copies():
+    # Built separately, so no subtree object is shared between the two.
+    return [Node(Node(Leaf("a"), Node(Leaf("a"), Leaf("b"))), Leaf("b")) for _ in range(2)]
+
+
+def test_node_hash_is_stored_once():
+    x, y = _two_copies()
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert hash(x) == hash((x.left, x.right))
+    assert {x: 1}[y] == 1
+    assert x != Node(x.right, x.left)
+    assert repr(x) == ("Node(left=Node(left=Leaf(letter='a'), right=Node(left=Leaf(letter='a'), "
+                       "right=Leaf(letter='b'))), right=Leaf(letter='b'))")
+    for name in ("left", "right", "_hash"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, Leaf("a"))
+
+
+def test_unpickled_node_rehashes_in_another_process():
+    # String hashes depend on the process, so a stored hash must not travel.
+    tree = _two_copies()[0]
+    script = ("import pickle, sys; t = pickle.loads(sys.stdin.buffer.read()); "
+              "print(hash(t) == hash((t.left, t.right)) and hash(t.left) == hash((t.left.left, t.left.right)))")
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    out = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(tree),
+                         capture_output=True, env=env, check=True)
+    assert out.stdout.strip() == b"True"
 
 
 def test_tree_helpers():

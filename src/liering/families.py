@@ -65,13 +65,6 @@ def engel_triple(p: int, q: int, r: int) -> LieElement:
     return bracket(engel_pair(p, q), engel(r))
 
 
-def _lie_sum(terms) -> LieElement:
-    total = LieElement.zero()
-    for term in terms:
-        total = total + term
-    return total
-
-
 def _certified(cert: IdentityCertificate) -> IdentityCertificate:
     if not verify_certificate(cert):
         raise InconsistencyError(f"family certificate {cert.source} failed verification")
@@ -82,7 +75,9 @@ def i2_certificate(m: int) -> IdentityCertificate:
     """Generator of the kernel in bidegree (2, m), for even m >= 2."""
     if m < 2 or m % 2:
         raise ValueError(f"the i2 family needs an even m >= 2, got {m}")
-    b_part = _lie_sum((-1) ** i * engel_pair(m - i, i - 1) for i in range(1, m // 2 + 1))
+    b_part = sum(
+        ((-1) ** i * engel_pair(m - i, i - 1) for i in range(1, m // 2 + 1)), LieElement.zero()
+    )
     return _certified(IdentityCertificate(2, m, engel(m), b_part, source="family:i2"))
 
 
@@ -90,8 +85,26 @@ def qbad_certificate(n: int) -> IdentityCertificate:
     """The (2, 2n) family, n >= 1; coincides with i2_certificate(2n)."""
     if n < 1:
         raise ValueError(f"the qbad family needs n >= 1, got {n}")
-    rhs = _lie_sum((-1) ** i * engel_pair(2 * n - 1 - i, i) for i in range(n))
+    rhs = sum(((-1) ** i * engel_pair(2 * n - 1 - i, i) for i in range(n)), LieElement.zero())
     return _certified(IdentityCertificate(2, 2 * n, engel(2 * n), -rhs, source="family:qbad"))
+
+
+def _i33_double_sum(n: int, k: int) -> LieElement:
+    """The double sum of the i33 construction truncated at i = k:
+
+    sum_{i=0}^{k} sum_{j=0}^{floor(i/2)} (-1)^{i+1} alpha(i-j, j) [C_{n+i-j}, C_{n+j-1}, C_{n-i}]
+
+    At k = n it is -B of the family member; at k <= n, bracketed with b,
+    it is the left side of the stage-k partial-sum identity.
+    """
+    return sum(
+        (
+            (-1) ** (i + 1) * family_coefficient(i - j, j) * engel_triple(n + i - j, n + j - 1, n - i)
+            for i in range(k + 1)
+            for j in range(i // 2 + 1)
+        ),
+        LieElement.zero(),
+    )
 
 
 def i33_certificate(n: int) -> IdentityCertificate:
@@ -104,16 +117,15 @@ def i33_certificate(n: int) -> IdentityCertificate:
     if n < 1:
         raise ValueError(f"the i33 family needs n >= 1, got {n}")
     sign = (-1) ** (n + 1)
-    a_part = _lie_sum(
-        sign * family_coefficient(n + 1 - k, k) * engel_pair(2 * n + 1 - k, n + k - 1)
-        for k in range((n + 1) // 2 + 1)
+    a_part = sum(
+        (
+            sign * family_coefficient(n + 1 - k, k) * engel_pair(2 * n + 1 - k, n + k - 1)
+            for k in range((n + 1) // 2 + 1)
+        ),
+        LieElement.zero(),
     )
-    rhs = _lie_sum(
-        (-1) ** (i + 1) * family_coefficient(i - j, j) * engel_triple(n + i - j, n + j - 1, n - i)
-        for i in range(n + 1)
-        for j in range(i // 2 + 1)
-    )
-    return _certified(IdentityCertificate(3, 3 * n, a_part, -rhs, source="family:i33"))
+    b_part = -_i33_double_sum(n, n)
+    return _certified(IdentityCertificate(3, 3 * n, a_part, b_part, source="family:i33"))
 
 
 @dataclass(frozen=True)
@@ -139,15 +151,14 @@ def partial_sums(n: int, k: int) -> PartialSumIdentity:
     """Both sides of the stage-k identity, normalized."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    inner = _lie_sum(
-        (-1) ** (i + 1) * family_coefficient(i - j, j) * engel_triple(n + i - j, n + j - 1, n - i)
-        for i in range(k + 1)
-        for j in range(i // 2 + 1)
-    )
-    left = bracket_with_letter(inner, "b")
-    right = _lie_sum(
-        (-1) ** (k + 1) * family_coefficient(k + 1 - t, t) * engel_triple(n + k + 1 - t, n - 1 + t, n - k)
-        for t in range((k + 1) // 2 + 1)
+    left = bracket_with_letter(_i33_double_sum(n, k), "b")
+    right = sum(
+        (
+            (-1) ** (k + 1) * family_coefficient(k + 1 - t, t)
+            * engel_triple(n + k + 1 - t, n - 1 + t, n - k)
+            for t in range((k + 1) // 2 + 1)
+        ),
+        LieElement.zero(),
     )
     return PartialSumIdentity(n, k, left, right)
 

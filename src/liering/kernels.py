@@ -14,7 +14,7 @@ boundary bidegrees like (2, 0) come out right rather than erroring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .algebra import (
@@ -48,12 +48,14 @@ class PairMatrix:
     matrix: IntMatrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentityCertificate:
     """A pair (A, B) claimed to satisfy [A,a] + [B,b] = 0.
 
     ``source`` records provenance ("computed", "family:<name>" or "user");
-    ``verified`` is only set by :func:`verify_certificate`.
+    ``verified`` is only set by :func:`verify_certificate`.  The verdict
+    depends only on the frozen fields, and ``dataclasses.replace`` starts
+    the copy unverified.
     """
 
     k: int
@@ -61,10 +63,7 @@ class IdentityCertificate:
     A: LieElement
     B: LieElement
     source: str = "user"
-    verified: bool = False
-
-    def copy(self) -> "IdentityCertificate":
-        return replace(self)
+    verified: bool = field(default=False, init=False)
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ def _check_certificate_shape(cert: IdentityCertificate) -> None:
 
 
 def verify_certificate(cert: IdentityCertificate) -> bool:
-    """Re-check [A,a] + [B,b] = 0 and update the flag.
+    """Re-check [A,a] + [B,b] = 0; record the verdict and return it.
 
     The check is that the associative expansion of [A,a] + [B,b] vanishes
     on every word.  It solves nothing, so it shares no code with the
@@ -175,7 +174,7 @@ def verify_certificate(cert: IdentityCertificate) -> bool:
     _check_certificate_shape(cert)
     image = _commutator(_element_poly(cert.A), {"a": 1})
     _accumulate(image, _commutator(_element_poly(cert.B), {"b": 1}))
-    cert.verified = not image
+    object.__setattr__(cert, "verified", not image)
     return cert.verified
 
 
@@ -196,7 +195,8 @@ def _element_from_slice(bd: tuple[int, int], words: tuple[str, ...], coords) -> 
 
 
 @lru_cache(maxsize=None)
-def _kernel_certificates(k: int, l: int) -> tuple[IdentityCertificate, ...]:
+def kernel_certificates(k: int, l: int) -> tuple[IdentityCertificate, ...]:
+    """One verified certificate per canonical kernel basis vector."""
     lattice = kernel_lattice(k, l)
     dom_a = _slice_basis(k - 1, l)
     dom_b = _slice_basis(k, l - 1)
@@ -216,11 +216,6 @@ def _kernel_certificates(k: int, l: int) -> tuple[IdentityCertificate, ...]:
             )
         certificates.append(cert)
     return tuple(certificates)
-
-
-def kernel_certificates(k: int, l: int) -> tuple[IdentityCertificate, ...]:
-    """One verified certificate per canonical kernel basis vector."""
-    return tuple(cert.copy() for cert in _kernel_certificates(k, l))
 
 
 def check_surjective(k: int, l: int) -> SurjectivityReport:

@@ -75,7 +75,6 @@ def is_lyndon(word: str) -> bool:
     return all(word < word[i:] + word[:i] for i in range(1, len(word)))
 
 
-@lru_cache(maxsize=None)
 def all_words(k: int, l: int) -> tuple[str, ...]:
     """Every word with exactly k a's and l b's, in lexicographic order."""
     if k < 0 or l < 0:

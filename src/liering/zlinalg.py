@@ -2,26 +2,26 @@
 and canonical bases of integer kernel lattices.
 
 Everything works on arbitrary-precision Python integers; there is no
-floating point anywhere.  Row reduction picks pivots of minimal absolute
-value, which keeps intermediate entries small in practice (with exact
-arithmetic this is a performance choice only).
+floating point anywhere.  There is one elimination loop, ``_row_echelon``,
+a row Hermite normal form: positive pivots, entries above each pivot
+reduced into [0, pivot), nonzero rows first.  Pivots of minimal absolute
+value keep intermediate entries small in practice (with exact arithmetic
+this is a performance choice only).  Since HNF is unique per row lattice,
+canonicalizing a basis makes lattice equality a plain comparison.
 
-Conventions: ``hnf`` returns a row-style Hermite normal form with positive
-pivots, entries above each pivot reduced into [0, pivot), nonzero rows
-first, together with a unimodular transform U satisfying U*M = H.  Since
-HNF is unique per row lattice, canonicalizing a basis makes lattice
-equality a plain comparison.  Tests verify the U*M = H reconstruction and
-unimodularity on every exercised call; production calls skip the repeated
-multiplication.
-
-``echelon`` is the one pass per matrix the rest of the package needs: the
-transform HNF of M^T gives the rank of M, the pivots that decide whether M
-maps onto Z^rows, and, from the zero rows of H, the kernel of M.
+Everything else calls that loop.  ``hnf`` reduces [M | I] and splits off
+the unimodular U with U*M = H (tests check the reconstruction
+and unimodularity; production calls skip the multiplication).
+``echelon`` is the one pass per matrix the rest of the package needs: it
+reduces [M^T | I], which gives the rank of M, the pivots that decide
+whether M maps onto Z^rows, and the kernel of M.  ``smith_invariants``
+alternates the loop on a matrix and its transpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -57,13 +57,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.entries, cols=self.cols)
-
-    def transpose(self) -> "IntMatrix":
-        flipped = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return IntMatrix(flipped, cols=self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -111,10 +104,14 @@ class IntMatrix:
         return cls([flat[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
 
 
-def _row_echelon(mat: list[list[int]], cols: int, transform: bool):
-    """In-place row HNF.  Returns (rank, U entries or None)."""
+def _row_echelon(mat: list[list[int]], cols: int) -> int:
+    """Bring ``mat`` to row Hermite normal form in place and return its rank.
+
+    Pivots are taken in the first ``cols`` columns only, but every row
+    operation spans the whole row.  So an identity block appended past
+    ``cols`` ends up holding the unimodular U with U*M = H.
+    """
     rows = len(mat)
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if transform else None
     rank = 0
     for col in range(cols):
         if rank == rows:
@@ -128,115 +125,73 @@ def _row_echelon(mat: list[list[int]], cols: int, transform: bool):
             pivot = min(nonzero, key=lambda i: abs(mat[i][col]))
             if len(nonzero) == 1:
                 break
+            row_p = mat[pivot]
             for i in nonzero:
                 if i == pivot:
                     continue
-                q = mat[i][col] // mat[pivot][col]
+                row_i = mat[i]
+                q = row_i[col] // row_p[col]
                 if q:
-                    row_i, row_p = mat[i], mat[pivot]
-                    for j in range(col, cols):
+                    for j in range(col, len(row_i)):
                         row_i[j] -= q * row_p[j]
-                    if transform:
-                        u_i, u_p = u[i], u[pivot]
-                        for j in range(rows):
-                            u_i[j] -= q * u_p[j]
         if pivot is None:
             continue
         if pivot != rank:
             mat[pivot], mat[rank] = mat[rank], mat[pivot]
-            if transform:
-                u[pivot], u[rank] = u[rank], u[pivot]
         if mat[rank][col] < 0:
             mat[rank] = [-v for v in mat[rank]]
-            if transform:
-                u[rank] = [-v for v in u[rank]]
-        p = mat[rank][col]
-        for i in range(rank):
-            q = mat[i][col] // p
+        row_p = mat[rank]
+        for row_i in mat[:rank]:
+            q = row_i[col] // row_p[col]
             if q:
-                row_i, row_p = mat[i], mat[rank]
-                for j in range(col, cols):
+                for j in range(col, len(row_i)):
                     row_i[j] -= q * row_p[j]
-                if transform:
-                    u_i, u_p = u[i], u[rank]
-                    for j in range(rows):
-                        u_i[j] -= q * u_p[j]
         rank += 1
-    return rank, u
+    return rank
+
+
+def _with_identity(rows: list[list[int]]) -> list[list[int]]:
+    """The rows of [R | I], as fresh lists."""
+    n = len(rows)
+    return [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
 
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form (H, U) with U unimodular and U @ M = H."""
-    work = [row[:] for row in m.entries]
-    _, u = _row_echelon(work, m.cols, transform=True)
-    return IntMatrix(work, cols=m.cols), IntMatrix(u, cols=m.rows)
+    work = _with_identity(m.entries)
+    _row_echelon(work, m.cols)
+    h = [row[: m.cols] for row in work]
+    u = [row[m.cols :] for row in work]
+    return IntMatrix(h, cols=m.cols), IntMatrix(u, cols=m.rows)
 
 
 def rank(m: IntMatrix) -> int:
     """Rank over the rationals (equivalently, number of HNF pivots)."""
-    work = [row[:] for row in m.entries]
-    r, _ = _row_echelon(work, m.cols, transform=False)
-    return r
+    return _row_echelon([row[:] for row in m.entries], m.cols)
 
 
 def smith_invariants(m: IntMatrix) -> tuple[int, ...]:
-    """Positive invariant factors d1 | d2 | ... of the matrix."""
-    a = [row[:] for row in m.entries]
-    rows, cols = m.rows, m.cols
-    invariants: list[int] = []
-    t = 0
-    while t < rows and t < cols:
-        # Pick the smallest nonzero entry of the trailing block as pivot.
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = a[i][j]
-                if v and (best is None or abs(v) < abs(best[2])):
-                    best = (i, j, v)
-                    if abs(v) == 1:
-                        break
-            if best is not None and abs(best[2]) == 1:
-                break
-        if best is None:
+    """Positive invariant factors d1 | d2 | ... of the matrix.
+
+    Row HNFs of the matrix and of its transpose alternate, zero rows
+    dropped, until every row has a single nonzero entry (Kannan and
+    Bachem, SIAM J. Comput. 8(4), 1979).  The diagonal left over is
+    equivalent to the Smith form, and pairwise gcd/lcm swaps put it in
+    divisor order.
+    """
+    work, cols = [row[:] for row in m.entries], m.cols
+    while True:
+        r = _row_echelon(work, cols)
+        del work[r:]
+        if all(sum(1 for v in row if v) == 1 for row in work):
             break
-        bi, bj, _ = best
-        if bi != t:
-            a[bi], a[t] = a[t], a[bi]
-        if bj != t:
-            for row in a:
-                row[bj], row[t] = row[t], row[bj]
-        pivot = a[t][t]
-        dirty = False
-        for i in range(t + 1, rows):
-            q = a[i][t] // pivot
-            if q:
-                row_i, row_t = a[i], a[t]
-                for j in range(t, cols):
-                    row_i[j] -= q * row_t[j]
-            if a[i][t]:
-                dirty = True
-        for j in range(t + 1, cols):
-            q = a[t][j] // pivot
-            if q:
-                for row in a:
-                    row[j] -= q * row[t]
-            if a[t][j]:
-                dirty = True
-        if dirty:
-            continue
-        # Pivot must divide the rest of the block; fold a bad row in if not.
-        bad = next(
-            (i for i in range(t + 1, rows) if any(a[i][j] % pivot for j in range(t + 1, cols))),
-            None,
-        )
-        if bad is not None:
-            row_t, row_b = a[t], a[bad]
-            for j in range(t, cols):
-                row_t[j] += row_b[j]
-            continue
-        invariants.append(abs(pivot))
-        t += 1
-    return tuple(invariants)
+        work, cols = [list(column) for column in zip(*work)], r
+    diagonal = [next(v for v in row if v) for row in work]  # HNF pivots are positive
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            g = gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
+    return tuple(diagonal)
 
 
 @dataclass(frozen=True)
@@ -263,7 +218,7 @@ def canonical_lattice(ambient: int, vectors: Iterable[Sequence[int]]) -> KernelL
     for v in work:
         if len(v) != ambient:
             raise ValueError(f"vector length {len(v)} != ambient {ambient}")
-    r, _ = _row_echelon(work, ambient, transform=False)
+    r = _row_echelon(work, ambient)
     return KernelLattice(ambient, tuple(tuple(row) for row in work[:r]), canonical=True)
 
 
@@ -279,14 +234,17 @@ class Echelon:
 def echelon(m: IntMatrix) -> Echelon:
     """Rank, image pivots and canonical kernel of M from one HNF of M^T.
 
-    The rows of U (U*M^T = H) that meet the zero rows of H lie in the
-    kernel of M, and since U is unimodular they span the full integer
-    kernel, a pure sublattice (a direct summand), not just a finite-index
-    one.  Every returned kernel vector is re-checked against M exactly.
+    The rows of [M^T | I] are reduced on their first M.rows columns into
+    [H | U] with U*M^T = H.  The first ``rank`` rows carry the pivots; the
+    U parts of the rows after them, where H is zero, lie in the kernel of
+    M, and since U is unimodular they span the full integer kernel, a pure
+    sublattice (a direct summand), not just a finite-index one.  Every
+    returned kernel vector is re-checked against M exactly.
     """
-    h, u = hnf(m.transpose())
-    pivots = tuple(next(v for v in row if v) for row in h.entries if any(row))
-    generators = u.entries[len(pivots):]
+    work = _with_identity([[row[j] for row in m.entries] for j in range(m.cols)])
+    r = _row_echelon(work, m.rows)
+    pivots = tuple(next(v for v in row if v) for row in work[:r])
+    generators = [row[m.rows :] for row in work[r:]]
     lattice = canonical_lattice(m.cols, generators)
     if lattice.rank != len(generators):
         raise AssertionError("kernel generators were not independent")

@@ -5,6 +5,8 @@ that normalization is checked against a second implementation, not against
 itself.  ``reference_normalize`` and ``reference_bracket`` solve over every
 word of the bidegree, with a residual check, where the package solves on
 the Lyndon words only; they share nothing with it but the Lyndon brackets.
+``reference_smith_invariants`` is the direct Smith pivot search the package
+replaced by alternating Hermite forms.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from functools import lru_cache
 
 from liering.algebra import BracketExpr, InconsistencyError, LieElement, basis_expansion
 from liering.words import Leaf, Node, all_words, lyndon_bracket, lyndon_words
+from liering.zlinalg import IntMatrix
 
 
 def rotations(word: str) -> list[str]:
@@ -160,3 +163,69 @@ def random_expr(rng: random.Random, k: int, l: int, max_terms: int = 3) -> Brack
         coeff = rng.choice([-3, -2, -1, 1, 2, 3])
         expr = expr + coeff * BracketExpr.from_tree(draw(rng, k, l))
     return expr
+
+
+def reference_smith_invariants(m: IntMatrix) -> tuple[int, ...]:
+    """Positive invariant factors d1 | d2 | ... by a direct pivot search.
+
+    Each step moves the smallest nonzero entry of the trailing block to the
+    corner, clears its row and column, and folds in a row the pivot does
+    not divide.  It shares no code with ``zlinalg.smith_invariants``, which
+    alternates Hermite forms of the matrix and its transpose.
+    """
+    a = [row[:] for row in m.entries]
+    rows, cols = m.rows, m.cols
+    invariants: list[int] = []
+    t = 0
+    while t < rows and t < cols:
+        # Pick the smallest nonzero entry of the trailing block as pivot.
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = a[i][j]
+                if v and (best is None or abs(v) < abs(best[2])):
+                    best = (i, j, v)
+                    if abs(v) == 1:
+                        break
+            if best is not None and abs(best[2]) == 1:
+                break
+        if best is None:
+            break
+        bi, bj, _ = best
+        if bi != t:
+            a[bi], a[t] = a[t], a[bi]
+        if bj != t:
+            for row in a:
+                row[bj], row[t] = row[t], row[bj]
+        pivot = a[t][t]
+        dirty = False
+        for i in range(t + 1, rows):
+            q = a[i][t] // pivot
+            if q:
+                row_i, row_t = a[i], a[t]
+                for j in range(t, cols):
+                    row_i[j] -= q * row_t[j]
+            if a[i][t]:
+                dirty = True
+        for j in range(t + 1, cols):
+            q = a[t][j] // pivot
+            if q:
+                for row in a:
+                    row[j] -= q * row[t]
+            if a[t][j]:
+                dirty = True
+        if dirty:
+            continue
+        # Pivot must divide the rest of the block; fold a bad row in if not.
+        bad = next(
+            (i for i in range(t + 1, rows) if any(a[i][j] % pivot for j in range(t + 1, cols))),
+            None,
+        )
+        if bad is not None:
+            row_t, row_b = a[t], a[bad]
+            for j in range(t, cols):
+                row_t[j] += row_b[j]
+            continue
+        invariants.append(abs(pivot))
+        t += 1
+    return tuple(invariants)

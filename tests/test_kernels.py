@@ -95,8 +95,7 @@ def _corrupted(cert: IdentityCertificate) -> IdentityCertificate | None:
     for word, letter in pair_matrix(cert.k, cert.l).domain:
         part = "A" if letter == "a" else "B"
         bd = (cert.k - 1, cert.l) if part == "A" else (cert.k, cert.l - 1)
-        bad = dataclasses.replace(cert, verified=False,
-                                  **{part: getattr(cert, part) + LieElement(bd, {word: 1})})
+        bad = dataclasses.replace(cert, **{part: getattr(cert, part) + LieElement(bd, {word: 1})})
         if not pair_image(bad.A, bad.B).is_zero():
             return bad
     return None
@@ -203,11 +202,21 @@ def test_lattice_membership():
         lattice_membership(unverified)
 
 
-def test_certificates_are_fresh_copies():
+def test_cached_certificates_are_frozen():
     first = kernel_certificates(2, 2)[0]
-    first.verified = False
-    again = kernel_certificates(2, 2)[0]
-    assert again.verified
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.verified = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.A = 2 * first.A
+    assert kernel_certificates(2, 2)[0].verified
+
+
+def test_an_edited_copy_starts_unverified():
+    cert = kernel_certificates(2, 2)[0]
+    edited = dataclasses.replace(cert, B=2 * cert.B)
+    assert cert.verified and edited.verified is False
+    with pytest.raises(ValueError):
+        lattice_membership(edited)
 
 
 def test_certificate_serialization_round_trip():

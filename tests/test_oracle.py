@@ -72,7 +72,7 @@ def test_oracle_check_fails_on_corruption():
     cert = i33_certificate(2)
     # Add a same-bidegree disturbance to B; the result is no identity.
     corrupt_b = cert.B + normalize(left_normed("a", "b", "b", "b", "b", "b", "a", "a"))
-    corrupted = dataclasses.replace(cert, B=corrupt_b, verified=False)
+    corrupted = dataclasses.replace(cert, B=corrupt_b)
     report = oracle_check(corrupted, trials=50, dim=4, seed=5)
     assert not report.passed
     assert report.failed_trial is not None
@@ -121,7 +121,7 @@ def test_oracle_validation():
         random_assignment(0, 1)
     # Modulo 1 every value vanishes, so a wrong certificate would pass.
     four = i2_certificate(4)
-    corrupted = dataclasses.replace(four, A=2 * four.A, verified=False)
+    corrupted = dataclasses.replace(four, A=2 * four.A)
     assert not oracle_check(corrupted, trials=5, seed=1).passed
     assign = random_assignment(4, 1)
     for modulus in (1, 0, -7):
@@ -140,7 +140,7 @@ def test_modulus_reduces_the_integer_value():
     rng = random.Random(4403)
     four = i2_certificate(4)
     certs = [i2_certificate(2), four, i33_certificate(1), i33_certificate(2),
-             dataclasses.replace(four, A=2 * four.A, verified=False)]
+             dataclasses.replace(four, A=2 * four.A)]
     exprs = []
     while len(exprs) < 6:
         expr = random_expr(rng, *random_bidegree(rng, 8, 2))

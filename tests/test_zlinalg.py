@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import reference_smith_invariants
 from liering import zlinalg
 from liering.zlinalg import (
     IntMatrix,
@@ -196,3 +197,14 @@ def test_fuzz_hnf_and_kernel(entries):
         assert all(f == 1 for f in smith_invariants(basis_matrix))
         for vector in lat.basis:
             assert lattice_coordinates(lat, vector) is not None
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices)
+def test_smith_invariants_match_the_pivot_search_reference(entries):
+    # Doubling makes every invariant factor even, so torsion always shows.
+    transposed = [list(column) for column in zip(*entries)]
+    doubled = [[2 * v for v in row] for row in entries]
+    for rows in (entries, transposed, doubled):
+        m = IntMatrix(rows)
+        assert smith_invariants(m) == reference_smith_invariants(m)

@@ -39,6 +39,7 @@ caches hold immutable data only.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache, reduce
 from typing import Mapping, Union
 
@@ -503,15 +504,11 @@ def normalize(expr: ExprLike) -> LieElement:
     return sum((c * _fold(tree) for tree, c in expr.terms.items()), LieElement.zero(bd))
 
 
-def engel_tree(n: int) -> BracketTree:
+def engel_expr(n: int) -> BracketExpr:
     """The left-normed tree [a, b, b, ..., b] with n trailing b's."""
     if n < 0:
         raise ValueError(f"engel index must be nonnegative, got {n}")
-    return lyndon_bracket("a" + "b" * n)
-
-
-def engel_expr(n: int) -> BracketExpr:
-    return BracketExpr.from_tree(engel_tree(n))
+    return BracketExpr.from_tree(lyndon_bracket("a" + "b" * n))
 
 
 def engel(n: int) -> LieElement:
@@ -532,110 +529,102 @@ def engel(n: int) -> LieElement:
 # frames per level, and much deeper input exhausts the default recursion limit.
 MAX_DEPTH = 256
 
+# A token is an integer or one non-space character; whitespace separates only.
+_TOKEN = re.compile(r"\d+|\S")
+
+
+def check_weight(k: int, l: int) -> None:
+    """Refuse a weight past MAX_DEPTH: Lyndon brackets recurse once per letter."""
+    if k + l > MAX_DEPTH:
+        raise ValueError(f"weight {k + l} exceeds the limit of {MAX_DEPTH}")
+
 
 def parse_expr(text: str) -> BracketExpr:
     """Parse the bracket-expression grammar, e.g. ``3*[a,b] + -1*[b,a]``.
 
     Brackets with more than two slots are left-normed sugar:
-    ``[x,y,z]`` means ``[[x,y],z]``.
+    ``[x,y,z]`` means ``[[x,y],z]``.  A parse error names the position
+    where the offending token starts.
     """
     parser = _Parser(text)
     expr, _ = parser.parse_sum()
-    parser.expect_end()
+    tok = parser.tokens[parser.i]
+    if tok is not None:
+        parser.error(f"unexpected trailing input {tok!r}")
     return expr
 
 
 class _Parser:
+    """Recursive descent over the token list of ``text``, ended by None."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.tokens: list[str | None] = _TOKEN.findall(text) + [None]
+        self.i = 0
         self.nesting = 0
 
-    def error(self, message: str):
-        raise ValueError(f"parse error at position {self.pos}: {message}")
+    def error(self, message: str, at: int | None = None):
+        # Token i starts where the i-th match does, or at the end for None.
+        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        raise ValueError(f"parse error at position {starts[self.i if at is None else at]}: {message}")
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def accept(self, *wanted: str) -> str | None:
+        """Consume and return the current token if it is one of ``wanted``."""
+        tok = self.tokens[self.i]
+        if tok in wanted:
+            self.i += 1
+            return tok
+        return None
 
-    def peek(self) -> str | None:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take(self) -> str:
-        ch = self.peek()
-        if ch is None:
-            self.error("unexpected end of input")
-        self.pos += 1
-        return ch
-
-    def expect(self, ch: str) -> None:
-        got = self.take()
-        if got != ch:
-            self.error(f"expected {ch!r}, got {got!r}")
-
-    def expect_end(self) -> None:
-        if self.peek() is not None:
-            self.error(f"unexpected trailing input {self.text[self.pos:]!r}")
-
-    def parse_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
-        return int(self.text[start : self.pos])
+    def require(self, wanted: str) -> None:
+        if self.accept(wanted) is None:
+            tok = self.tokens[self.i]
+            self.error("unexpected end of input" if tok is None else f"expected {wanted!r}, got {tok!r}")
 
     # The parse methods return (expression, depth of its deepest tree).
     def parse_sum(self) -> tuple[BracketExpr, int]:
-        ch = self.peek()
-        if ch in ("+", "-"):
-            self.take()
+        sign = self.accept("+", "-")
         expr, depth = self.parse_term()
-        if ch == "-":
+        if sign == "-":
             expr = -expr
-        while self.peek() in ("+", "-"):
-            op = self.take()
+        while (op := self.accept("+", "-")) is not None:
             term, term_depth = self.parse_term()
             expr = expr + term if op == "+" else expr - term
             depth = max(depth, term_depth)
         return expr, depth
 
     def parse_term(self) -> tuple[BracketExpr, int]:
-        coeff = 1
-        if self.peek() == "-":
-            self.take()
-            coeff = -1
-        ch = self.peek()
-        if ch is not None and ch.isdigit():
-            coeff *= self.parse_int()
-            self.expect("*")
+        coeff = -1 if self.accept("-") else 1
+        tok = self.tokens[self.i]
+        if tok is not None and tok.isdecimal():
+            self.i += 1
+            coeff *= int(tok)
+            self.require("*")
         atom, depth = self.parse_atom()
         # Scaling by 1 would only copy the terms and hash every tree again.
         return (atom if coeff == 1 else coeff * atom), depth
 
     def parse_atom(self) -> tuple[BracketExpr, int]:
-        ch = self.peek()
-        if ch in LETTERS:
-            self.take()
-            return BracketExpr.letter(ch), 0
-        if ch == "[":
-            self.take()
-            self.nesting += 1
-            if self.nesting > MAX_DEPTH:
-                self.error(f"brackets nest deeper than {MAX_DEPTH} levels")
-            slots = [self.parse_sum()]
-            while self.peek() == ",":
-                self.take()
-                slots.append(self.parse_sum())
-            self.expect("]")
-            self.nesting -= 1
-            if len(slots) < 2:
-                self.error("a bracket needs at least two slots")
-            # [x1, ..., xn] puts x1 n-1 levels deep and xi (i >= 2) n-i+1.
-            depth = max(d + len(slots) - max(i, 1) for i, (_, d) in enumerate(slots))
-            if depth > MAX_DEPTH:
-                self.error(f"brackets nest deeper than {MAX_DEPTH} levels")
-            return left_normed(*(x for x, _ in slots)), depth
-        self.error(f"expected a letter or '[', got {ch!r}")
+        tok = self.tokens[self.i]
+        if tok in LETTERS:
+            self.i += 1
+            return BracketExpr.letter(tok), 0
+        if tok != "[":
+            self.error(f"expected a letter or '[', got {tok!r}")
+        opened = self.i
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            self.error(f"brackets nest deeper than {MAX_DEPTH} levels")
+        self.i += 1
+        slots = [self.parse_sum()]
+        while self.accept(","):
+            slots.append(self.parse_sum())
+        self.require("]")
+        self.nesting -= 1
+        if len(slots) < 2:
+            self.error("a bracket needs at least two slots", at=opened)
+        # [x1, ..., xn] puts x1 n-1 levels deep and xi (i >= 2) n-i+1.
+        depth = max(d + len(slots) - max(i, 1) for i, (_, d) in enumerate(slots))
+        if depth > MAX_DEPTH:
+            self.error(f"brackets nest deeper than {MAX_DEPTH} levels", at=opened)
+        return left_normed(*(x for x, _ in slots)), depth

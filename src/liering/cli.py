@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import dims
-from .algebra import MAX_DEPTH, normalize, parse_expr
+from .algebra import InconsistencyError, check_weight, normalize, parse_expr
 from .families import FAMILY_BUILDERS
 from .kernels import (
     certificate_from_dict,
@@ -55,16 +55,9 @@ def _cmd_dims(args) -> int:
     return 0
 
 
-def _check_weight(k: int, l: int) -> None:
-    # Lyndon brackets and their expansions recurse once per letter, so a
-    # weight past the parser's depth limit would end in a RecursionError.
-    if k + l > MAX_DEPTH:
-        raise ValueError(f"weight {k + l} exceeds the limit of {MAX_DEPTH}")
-
-
 def _cmd_basis(args) -> int:
     if args.format == "latex":
-        _check_weight(args.k, args.l)
+        check_weight(args.k, args.l)
     words = lyndon_words(args.k, args.l)
     if args.format == "json":
         _emit_json({"k": args.k, "l": args.l, "dim": len(words), "words": list(words)})
@@ -78,7 +71,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    _check_weight(args.k, args.l)
+    check_weight(args.k, args.l)
     pm = pair_matrix(args.k, args.l)
     data = {
         "k": pm.k,
@@ -108,7 +101,7 @@ def _family_comparison(k: int, l: int):
 
 
 def _cmd_kernel(args) -> int:
-    _check_weight(args.k, args.l)
+    check_weight(args.k, args.l)
     lattice = kernel_lattice(args.k, args.l)
     data = {
         "k": args.k,
@@ -134,7 +127,7 @@ def _cmd_family(args) -> int:
             raise ValueError(f"family {args.name} needs --n")
         size = args.n
         bidegree = (2, 2 * size) if args.name == "qbad" else (3, 3 * size)
-    _check_weight(*bidegree)
+    check_weight(*bidegree)
     cert = FAMILY_BUILDERS[args.name](size)
     if args.format == "latex":
         print(certificate_latex(cert))
@@ -146,7 +139,6 @@ def _cmd_family(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         cert = certificate_from_dict(json.load(handle))
-    _check_weight(cert.k, cert.l)
     verified = verify_certificate(cert)
     report = {"certificate": certificate_to_dict(cert), "verified": verified}
     if args.oracle:
@@ -227,9 +219,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, InconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InconsistencyError) else 2
 
 
 if __name__ == "__main__":

@@ -32,14 +32,17 @@ class MatrixAssignment:
     seed: int | None = None
 
 
-def random_assignment(dim: int, seed: int, low: int = -3, high: int = 3) -> MatrixAssignment:
-    """Deterministic assignment with entries uniform in [low, high]."""
+LOW, HIGH = -3, 3
+
+
+def random_assignment(dim: int, seed: int) -> MatrixAssignment:
+    """Deterministic assignment with entries uniform in [LOW, HIGH]."""
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     rng = random.Random(seed)
 
     def draw() -> Matrix:
-        return tuple(tuple(rng.randint(low, high) for _ in range(dim)) for _ in range(dim))
+        return tuple(tuple(rng.randint(LOW, HIGH) for _ in range(dim)) for _ in range(dim))
 
     return MatrixAssignment(dim, draw(), draw(), seed=seed)
 
@@ -118,21 +121,24 @@ def evaluate_expr(expr, assignment: MatrixAssignment, modulus: int | None = None
     return _sum_trees(as_expr(expr).terms.items(), assignment, modulus, {})
 
 
-def evaluate_element(x: LieElement, assignment: MatrixAssignment, modulus: int | None = None,
-                     _cache: dict | None = None) -> Matrix:
+def _element_terms(x: LieElement):
+    return ((lyndon_bracket(word), c) for word, c in x.coeffs.items())
+
+
+def evaluate_element(x: LieElement, assignment: MatrixAssignment, modulus: int | None = None) -> Matrix:
     """Evaluate basis coordinates through the standard bracketing, mod ``modulus`` (>= 2) if given."""
     _check_modulus(modulus)
-    terms = ((lyndon_bracket(word), c) for word, c in x.coeffs.items())
-    return _sum_trees(terms, assignment, modulus, {} if _cache is None else _cache)
+    return _sum_trees(_element_terms(x), assignment, modulus, {})
 
 
 def evaluate_certificate(cert: IdentityCertificate, assignment: MatrixAssignment,
                          modulus: int | None = None) -> Matrix:
     """The matrix value of [A, a] + [B, b] under the assignment, mod ``modulus`` (>= 2) if given."""
+    _check_modulus(modulus)
     dim = assignment.dim
-    cache: dict = {}
-    value_a = evaluate_element(cert.A, assignment, modulus, cache)
-    value_b = evaluate_element(cert.B, assignment, modulus, cache)
+    cache: dict = {}  # A and B share their subtrees' values
+    value_a = _sum_trees(_element_terms(cert.A), assignment, modulus, cache)
+    value_b = _sum_trees(_element_terms(cert.B), assignment, modulus, cache)
     out = _commutator(value_a, assignment.a_matrix, dim, modulus)
     _add_scaled(out, _commutator(value_b, assignment.b_matrix, dim, modulus), 1, dim)
     return tuple(tuple(row) for row in _reduced(out, modulus))

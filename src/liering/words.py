@@ -122,10 +122,8 @@ def standard_factorization(word: str) -> tuple[str, str]:
 
 @lru_cache(maxsize=None)
 def lyndon_bracket(word: str) -> BracketTree:
-    """The recursive bracketing [w] = [[u], [v]] over the standard factorization."""
-    if not is_lyndon(word):
-        raise ValueError(f"{word!r} is not a Lyndon word")
-    if len(word) == 1:
+    """The recursive bracketing [w] = [[u], [v]]; the factorization refuses non-Lyndon w."""
+    if word in LETTERS:
         return Leaf(word)
     u, v = standard_factorization(word)
     return Node(lyndon_bracket(u), lyndon_bracket(v))
@@ -138,13 +136,6 @@ def tree_bidegree(tree: BracketTree) -> tuple[int, int]:
     lk, ll = tree_bidegree(tree.left)
     rk, rl = tree_bidegree(tree.right)
     return lk + rk, ll + rl
-
-
-def tree_weight(tree: BracketTree) -> int:
-    """Number of leaves of a bracket tree."""
-    if isinstance(tree, Leaf):
-        return 1
-    return tree_weight(tree.left) + tree_weight(tree.right)
 
 
 def bracket_string(tree: BracketTree) -> str:

@@ -6,7 +6,8 @@ itself.  ``reference_normalize`` and ``reference_bracket`` solve over every
 word of the bidegree, with a residual check, where the package solves on
 the Lyndon words only; they share nothing with it but the Lyndon brackets.
 ``reference_smith_invariants`` is the direct Smith pivot search the package
-replaced by alternating Hermite forms.
+replaced by alternating Hermite forms, and ``reference_parse_expr`` the
+character-walking parser the package replaced by one token list.
 """
 
 from __future__ import annotations
@@ -14,8 +15,15 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from liering.algebra import BracketExpr, InconsistencyError, LieElement, basis_expansion
-from liering.words import Leaf, Node, all_words, lyndon_bracket, lyndon_words
+from liering.algebra import (
+    MAX_DEPTH,
+    BracketExpr,
+    InconsistencyError,
+    LieElement,
+    basis_expansion,
+    left_normed,
+)
+from liering.words import LETTERS, Leaf, Node, all_words, lyndon_bracket, lyndon_words
 from liering.zlinalg import IntMatrix
 
 
@@ -229,3 +237,107 @@ def reference_smith_invariants(m: IntMatrix) -> tuple[int, ...]:
         invariants.append(abs(pivot))
         t += 1
     return tuple(invariants)
+
+
+def reference_parse_expr(text: str) -> BracketExpr:
+    """The grammar of ``algebra.parse_expr``, read character by character."""
+    parser = _Parser(text)
+    expr, _ = parser.parse_sum()
+    parser.expect_end()
+    return expr
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.nesting = 0
+
+    def error(self, message: str):
+        raise ValueError(f"parse error at position {self.pos}: {message}")
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str | None:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def take(self) -> str:
+        ch = self.peek()
+        if ch is None:
+            self.error("unexpected end of input")
+        self.pos += 1
+        return ch
+
+    def expect(self, ch: str) -> None:
+        got = self.take()
+        if got != ch:
+            self.error(f"expected {ch!r}, got {got!r}")
+
+    def expect_end(self) -> None:
+        if self.peek() is not None:
+            self.error(f"unexpected trailing input {self.text[self.pos:]!r}")
+
+    def parse_int(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            self.error("expected an integer")
+        return int(self.text[start : self.pos])
+
+    # The parse methods return (expression, depth of its deepest tree).
+    def parse_sum(self) -> tuple[BracketExpr, int]:
+        ch = self.peek()
+        if ch in ("+", "-"):
+            self.take()
+        expr, depth = self.parse_term()
+        if ch == "-":
+            expr = -expr
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            term, term_depth = self.parse_term()
+            expr = expr + term if op == "+" else expr - term
+            depth = max(depth, term_depth)
+        return expr, depth
+
+    def parse_term(self) -> tuple[BracketExpr, int]:
+        coeff = 1
+        if self.peek() == "-":
+            self.take()
+            coeff = -1
+        ch = self.peek()
+        if ch is not None and ch.isdigit():
+            coeff *= self.parse_int()
+            self.expect("*")
+        atom, depth = self.parse_atom()
+        # Scaling by 1 would only copy the terms and hash every tree again.
+        return (atom if coeff == 1 else coeff * atom), depth
+
+    def parse_atom(self) -> tuple[BracketExpr, int]:
+        ch = self.peek()
+        if ch in LETTERS:
+            self.take()
+            return BracketExpr.letter(ch), 0
+        if ch == "[":
+            self.take()
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                self.error(f"brackets nest deeper than {MAX_DEPTH} levels")
+            slots = [self.parse_sum()]
+            while self.peek() == ",":
+                self.take()
+                slots.append(self.parse_sum())
+            self.expect("]")
+            self.nesting -= 1
+            if len(slots) < 2:
+                self.error("a bracket needs at least two slots")
+            # [x1, ..., xn] puts x1 n-1 levels deep and xi (i >= 2) n-i+1.
+            depth = max(d + len(slots) - max(i, 1) for i, (_, d) in enumerate(slots))
+            if depth > MAX_DEPTH:
+                self.error(f"brackets nest deeper than {MAX_DEPTH} levels")
+            return left_normed(*(x for x, _ in slots)), depth
+        self.error(f"expected a letter or '[', got {ch!r}")

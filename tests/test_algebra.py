@@ -9,12 +9,15 @@ from helpers import (
     brute_expand_tree,
     random_bidegree,
     random_expr,
+    random_tree,
     reference_bracket,
     reference_normalize,
+    reference_parse_expr,
     reference_reduce,
 )
 from liering import algebra, families
 from liering.algebra import (
+    MAX_DEPTH,
     BidegreeError,
     BracketExpr,
     InconsistencyError,
@@ -30,7 +33,7 @@ from liering.algebra import (
     parse_expr,
 )
 from liering.dims import lie_dim
-from liering.words import Leaf, Node, lyndon_bracket, lyndon_words
+from liering.words import Leaf, Node, bracket_string, lyndon_bracket, lyndon_words
 
 
 def test_assoc_expand_examples():
@@ -392,3 +395,56 @@ def test_parse_expr_grammar():
 def test_parse_expr_rejects(bad):
     with pytest.raises(ValueError):
         parse_expr(bad)
+
+
+def test_parse_expr_error_names_the_offending_token():
+    with pytest.raises(ValueError, match="position 3: expected '\\*', got 'a'"):
+        parse_expr("12 a")
+    with pytest.raises(ValueError, match="position 5: unexpected end of input"):
+        parse_expr("[a,b ")
+    with pytest.raises(ValueError, match="position 1: a bracket needs at least two slots"):
+        parse_expr(" [a] ")
+
+
+def _left_normed_string(tree) -> str:
+    """A tree in left-normed sugar: its whole left spine in one bracket."""
+    slots = []
+    while isinstance(tree, Node):
+        slots.append(tree.right)
+        tree = tree.left
+    if not slots:
+        return tree.letter
+    return "[" + ",".join(_left_normed_string(t) for t in [tree, *reversed(slots)]) + "]"
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return "rejected"
+
+
+def test_parse_expr_matches_the_character_parser():
+    # The token parser against the character-walking parser it replaced:
+    # the same inputs accepted, the same expressions built.
+    rng = random.Random(5)
+    texts = ["".join(rng.choice("ab[],+-*0123 ") for _ in range(rng.randint(0, 14)))
+             for _ in range(20000)]
+    for _ in range(500):
+        k, l = random_bidegree(rng, 10)
+        trees = [random_tree(rng, k, l) for _ in range(rng.randint(1, 3))]
+        for render in (bracket_string, _left_normed_string):
+            text = " - ".join(f"{rng.randint(1, 12)}*{render(t)}" for t in trees)
+            texts += [text, text.replace(",", " , "), "-" + text]
+    texts += [
+        "[" * 2000 + "a" + ",b]" * 2000,
+        "[a" + ",b" * 899 + "]",
+        "[" * (MAX_DEPTH + 1) + "a" + ",b]" * (MAX_DEPTH + 1),
+        "[a" + ",b" * (MAX_DEPTH + 1) + "]",
+    ]
+    accepted = 0
+    for text in texts:
+        got, expected = _parse_outcome(parse_expr, text), _parse_outcome(reference_parse_expr, text)
+        assert got == expected, text
+        accepted += expected != "rejected"
+    assert accepted > 3000

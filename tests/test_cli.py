@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from liering import algebra, families, kernels, words
 from liering.algebra import MAX_DEPTH
 from liering.cli import main
 from liering.families import i33_certificate
@@ -211,6 +212,42 @@ def test_verify_refuses_a_weight_past_the_depth_limit(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"limit of {MAX_DEPTH}" in err
+
+
+def test_verify_refuses_the_weight_before_reading_a_word(capsys, tmp_path, monkeypatch):
+    calls, is_lyndon = [], words.is_lyndon
+
+    def counted_is_lyndon(word):
+        calls.append(word)
+        return is_lyndon(word)
+
+    for module in (words, algebra, kernels):
+        if hasattr(module, "is_lyndon"):
+            monkeypatch.setattr(module, "is_lyndon", counted_is_lyndon)
+    word = "b" * MAX_DEPTH + "a" * (MAX_DEPTH - 1)  # bidegree of A, not a Lyndon word
+    payload = tmp_path / "heavy.json"
+    payload.write_text(json.dumps({"k": MAX_DEPTH, "l": MAX_DEPTH, "A": [["1", word]], "B": []}))
+    code, out, err = run(capsys, "verify", str(payload))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"limit of {MAX_DEPTH}" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        (kernels, ("kernel", "2", "2", "--certify")),
+        (families, ("family", "i2", "--m", "2")),
+    ],
+)
+def test_a_failed_internal_verification_exits_1(capsys, monkeypatch, module, argv):
+    kernels.kernel_certificates.cache_clear()
+    monkeypatch.setattr(module, "verify_certificate", lambda cert: False)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_weight_at_the_depth_limit_is_accepted(capsys):

@@ -149,6 +149,9 @@ def test_verify_certificate_cases():
     mismatched = IdentityCertificate(2, 2, engel(3), LieElement.zero())
     with pytest.raises(ValueError):
         verify_certificate(mismatched)
+    # L_{-1,2} is the zero module: any nonzero A has another bidegree.
+    with pytest.raises(ValueError):
+        verify_certificate(IdentityCertificate(0, 2, LieElement((0, 1), {"b": 1}), LieElement.zero()))
 
 
 def test_check_surjective_examples():
@@ -258,6 +261,12 @@ def test_certificate_serialization_boundary():
         {"k": 2, "l": 2, "A": [["1", "aab"]], "B": []},  # wrong bidegree
         {"k": 0, "l": 2, "A": [["1", "b"]], "B": []},  # zero-module side not empty
         {"k": 2, "l": 2, "A": [["x", "abb"]], "B": []},  # bad coefficient
+        {"k": 2, "l": 2, "A": [[None, "abb"]], "B": []},  # null coefficient
+        {"k": 2, "l": 2, "A": [[2.7, "abb"]], "B": []},  # float coefficient
+        {"k": 2, "l": 2, "A": [[True, "abb"]], "B": []},  # boolean coefficient
+        {"k": 2.9, "l": 2, "A": [["1", "abb"]], "B": []},  # float bidegree
+        {"k": 2, "l": 2, "A": [["0", "abb"], ["1", "abb"]], "B": []},  # duplicate after a zero
+        {"k": 2, "l": 0, "A": ["1a"], "B": []},  # a string, not a pair
     ],
 )
 def test_certificate_from_dict_rejects(breakage):

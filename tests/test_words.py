@@ -23,7 +23,6 @@ from liering.words import (
     lyndon_words,
     standard_factorization,
     tree_bidegree,
-    tree_weight,
 )
 
 
@@ -184,5 +183,4 @@ def test_unpickled_node_rehashes_in_another_process():
 def test_tree_helpers():
     tree = lyndon_bracket("aabb")
     assert tree_bidegree(tree) == (2, 2)
-    assert tree_weight(tree) == 4
     assert bracket_string(tree) == "[a,[[a,b],b]]"

@@ -13,8 +13,9 @@ Family ids (also used by the CLI):
 
 Certificates are stored with B already negated, so [A,a] + [B,b] = 0 holds
 literally; the LaTeX rendering re-negates B to display [A,a] = [-B,b].
-Every constructor re-verifies its certificate (the associative expansion of
-[A,a] + [B,b] vanishes) and refuses to return an unverified one.
+Every constructor re-verifies its certificate (the coefficients of
+[A,a] + [B,b] on the Lyndon words vanish) and refuses to return an
+unverified one.
 """
 
 from __future__ import annotations

@@ -22,12 +22,12 @@ from .algebra import (
     InconsistencyError,
     LieElement,
     _accumulate,
-    _commutator,
-    _element_poly,
+    _tree_poly,
     bracket_with_letter,
     check_weight,
 )
-from .words import lyndon_words
+from .words import bidegree as word_bidegree
+from .words import lyndon_bracket, lyndon_words
 from .zlinalg import (
     Echelon,
     IntMatrix,
@@ -161,16 +161,45 @@ def _check_certificate_shape(cert: IdentityCertificate) -> None:
         raise ValueError(f"B has bidegree {cert.B.bidegree}, expected {expected_b}")
 
 
+@lru_cache(maxsize=None)
+def _letter_column(word: str, letter: str) -> dict[str, int]:
+    """Coefficients of [[word], letter] on the Lyndon words of its bidegree.
+
+    With P the associative expansion of [word], [[word], x] = Px - xP has
+    coefficient P(z[:-1]) [z ends in x] - P(z[1:]) [z starts with x] at z:
+    two lookups in the cached ``_tree_poly`` dict, and no solve.  The cache
+    is keyed by the domain words whose ``_tree_poly`` dicts are cached
+    already, and each value has at most dim L_{k,l} entries, against the
+    thousands of the dict it reads.  Shared: read it, never write to it.
+    """
+    poly = _tree_poly(lyndon_bracket(word))
+    k, l = word_bidegree(word)
+    column = {}
+    for z in lyndon_words(k + (letter == "a"), l + (letter == "b")):
+        c = (poly.get(z[:-1], 0) if z[-1] == letter else 0) - (
+            poly.get(z[1:], 0) if z[0] == letter else 0)
+        if c:
+            column[z] = c
+    return column
+
+
 def verify_certificate(cert: IdentityCertificate) -> bool:
     """Re-check [A,a] + [B,b] = 0; record the verdict and return it.
 
-    The check is that the associative expansion of [A,a] + [B,b] vanishes
-    on every word.  It solves nothing, so it shares no code with the
-    Lyndon-block solve that computed the kernel vectors.
+    [A,a] + [B,b] is a Lie polynomial, and a Lie polynomial is 0 exactly
+    when its coefficients on the Lyndon words of its bidegree are 0,
+    because the Lyndon x Lyndon block of the basis expansion is unit
+    triangular (Reutenauer, *Free Lie Algebras*, Ch. 4-5).  Those
+    coefficients are summed from ``_letter_column``, which reads the
+    associative expansions of the basis words and solves nothing, so the
+    check shares only ``_tree_poly`` with the Lyndon-block solve that
+    computed the kernel vectors.
     """
     _check_certificate_shape(cert)
-    image = _commutator(_element_poly(cert.A), {"a": 1})
-    _accumulate(image, _commutator(_element_poly(cert.B), {"b": 1}))
+    image: dict[str, int] = {}
+    for part, letter in ((cert.A, "a"), (cert.B, "b")):
+        for word, c in part.coeffs.items():
+            _accumulate(image, _letter_column(word, letter), c)
     object.__setattr__(cert, "verified", not image)
     return cert.verified
 
@@ -218,10 +247,13 @@ def kernel_certificates(k: int, l: int) -> tuple[IdentityCertificate, ...]:
 def check_surjective(k: int, l: int) -> SurjectivityReport:
     """Rank and integral cokernel check for the pair map (weight >= 2 only).
 
-    When the rank equals the number of rows, the nonzero rows of HNF(M^T)
-    are a triangular basis of the image lattice, of index the product of the
-    pivots, so the cokernel is trivial exactly when every pivot is 1.  Only
-    otherwise, which no slice of weight >= 2 is, does a Smith form run.
+    The pivots are those of the slice's cached ``echelon``.  When the rank
+    equals the number of rows, the nonzero rows of HNF(M^T) are a
+    triangular basis of the image lattice, of index the product of the
+    pivots, so the cokernel is trivial exactly when every pivot is 1.  The
+    unit-pivot pass reports that case directly (rank = rows, every pivot 1),
+    having shown M unimodularly onto Z^rows.  Only otherwise, which no
+    slice of weight >= 2 is, does a Smith form run.
     """
     if k + l < 2:
         raise ValueError(f"surjectivity check needs weight >= 2, got ({k}, {l})")

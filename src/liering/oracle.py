@@ -34,6 +34,11 @@ class MatrixAssignment:
 
 LOW, HIGH = -3, 3
 
+# The most work oracle_check takes on, counted as trials * dim**3: each trial
+# multiplies dim x dim matrices, at dim**3 steps a product.  The default of
+# 50 trials at dim 4 is 3200.
+MAX_WORK = 10**5
+
 
 def random_assignment(dim: int, seed: int) -> MatrixAssignment:
     """Deterministic assignment with entries uniform in [LOW, HIGH]."""
@@ -201,12 +206,15 @@ def oracle_check(cert: IdentityCertificate, trials: int = 50, dim: int = 4,
     """Run evaluation trials in order and report the first counterexample.
 
     A "fail" verdict is a sound disproof of the certificate; a "pass"
-    verdict only says no counterexample appeared among the trials.
+    verdict only says no counterexample appeared among the trials.  More
+    than MAX_WORK of trials * dim**3 is refused before any trial.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
+    if trials * dim**3 > MAX_WORK:
+        raise ValueError(f"trials * dim^3 = {trials * dim**3} is past the limit of {MAX_WORK}")
     _check_modulus(modulus)
     note = "passing trials are evidence, not proof"
     if modulus:

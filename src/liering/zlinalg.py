@@ -2,24 +2,31 @@
 and canonical bases of integer kernel lattices.
 
 Everything works on arbitrary-precision Python integers; there is no
-floating point anywhere.  There is one elimination loop, ``_row_echelon``,
-a row Hermite normal form: positive pivots, entries above each pivot
-reduced into [0, pivot), nonzero rows first.  Pivots of minimal absolute
-value keep intermediate entries small in practice (with exact arithmetic
-this is a performance choice only).  Since HNF is unique per row lattice,
-canonicalizing a basis makes lattice equality a plain comparison.
+floating point anywhere.  There are two elimination loops.
+``_row_echelon`` is a dense row Hermite normal form: positive pivots,
+entries above each pivot reduced into [0, pivot), nonzero rows first.
+Pivots of minimal absolute value keep intermediate entries small in
+practice (with exact arithmetic this is a performance choice only).  Since
+HNF is unique per row lattice, canonicalizing a basis makes lattice
+equality a plain comparison.  ``_unit_pivot_pass`` is a sparse
+elimination that takes only pivots of +1 or -1, so it never divides and
+needs no Hermite form; it gives up, and returns None, on any row that has
+no such pivot.
 
-Everything else calls that loop.  ``hnf`` reduces [M | I] and splits off
-the unimodular U with U*M = H (tests check the reconstruction
-and unimodularity; production calls skip the multiplication).
-``echelon`` is the one pass per matrix the rest of the package needs: it
-reduces [M^T | I], which gives the rank of M, the pivots that decide
-whether M maps onto Z^rows, and the kernel of M.  ``smith_invariants``
-alternates the loop on a matrix and its transpose.
+``hnf`` reduces [M | I] and splits off the unimodular U with U*M = H
+(tests check the reconstruction and unimodularity; production calls skip
+the multiplication).  ``echelon`` is the one pass per matrix the rest of
+the package needs: the rank of M, the pivots that decide whether M maps
+onto Z^rows, and the kernel of M.  It tries the unit-pivot pass first and
+falls back to reducing [M^T | I] with ``_row_echelon``.  Either way the
+kernel is canonicalized with ``_row_echelon`` and re-checked against M.
+``smith_invariants`` alternates the dense loop on a matrix and its
+transpose.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
@@ -231,20 +238,106 @@ class Echelon:
     kernel: KernelLattice
 
 
-def echelon(m: IntMatrix) -> Echelon:
-    """Rank, image pivots and canonical kernel of M from one HNF of M^T.
+def _hnf_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Image pivots and kernel generators of M from one HNF of [M^T | I].
 
     The rows of [M^T | I] are reduced on their first M.rows columns into
     [H | U] with U*M^T = H.  The first ``rank`` rows carry the pivots; the
     U parts of the rows after them, where H is zero, lie in the kernel of
     M, and since U is unimodular they span the full integer kernel, a pure
-    sublattice (a direct summand), not just a finite-index one.  Every
-    returned kernel vector is re-checked against M exactly.
+    sublattice (a direct summand), not just a finite-index one.
     """
     work = _with_identity([[row[j] for row in m.entries] for j in range(m.cols)])
     r = _row_echelon(work, m.rows)
     pivots = tuple(next(v for v in row if v) for row in work[:r])
-    generators = [row[m.rows :] for row in work[r:]]
+    return pivots, [row[m.rows :] for row in work[r:]]
+
+
+def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]] | None:
+    """Image pivots and kernel generators of M by unit-pivot elimination, or None.
+
+    The rows are kept as sparse dicts.  The shortest live row is taken
+    next, and in it the +1 or -1 entry whose column has the fewest live
+    rows (Markowitz pivoting), ties going to the lower row and column, so
+    the order is fixed.  That column is then cleared from the other live
+    rows.  A row that is empty or has no unit entry when its turn comes
+    ends the pass with None.
+
+    Each step adds integer multiples of a pivot row to other rows, a
+    unimodular operation, and every row ends with a unit pivot in its own
+    column that no row pivoted after it has.  So M maps onto Z^rows, which
+    is exactly when the nonzero rows of HNF(M^T) are the identity: the
+    rank is M.rows and every pivot is 1.  Each column that takes no pivot
+    gives one kernel vector, 1 there and 0 on the other free columns, with
+    the pivot coordinates back-substituted in reverse pivot order; since
+    the pivots are units, these vectors span the full integer kernel.
+    """
+    rows = [{j: c for j, c in enumerate(row) if c} for row in m.entries]
+    holders: dict[int, set[int]] = {}  # column -> live rows with an entry in it
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    live = [True] * len(rows)
+    order = []
+    while heap:
+        size, i = heapq.heappop(heap)
+        row = rows[i]
+        if not live[i] or size != len(row):
+            continue  # a stale entry: the row was pivoted or has changed length
+        units = [j for j, c in row.items() if c == 1 or c == -1]
+        if not units:
+            return None
+        p = min(units, key=lambda j: (len(holders[j]), j))
+        live[i] = False
+        for j in row:
+            holders[j].discard(i)
+        for t in holders.pop(p):
+            target = rows[t]
+            q = target.pop(p) * row[p]  # row[p] is its own inverse
+            for j, c in row.items():
+                if j == p:
+                    continue
+                v = target.get(j, 0) - q * c
+                if v:
+                    if j not in target:
+                        holders[j].add(t)
+                    target[j] = v
+                else:
+                    del target[j]
+                    holders[j].discard(t)
+            heapq.heappush(heap, (len(target), t))
+        order.append((p, row))
+    # x[j] holds coordinate j of every generator at once, keyed by free column.
+    pivot_cols = {p for p, _ in order}
+    free = [j for j in range(m.cols) if j not in pivot_cols]
+    x: dict[int, dict[int, int]] = {f: {f: 1} for f in free}
+    for p, row in reversed(order):
+        value: dict[int, int] = {}
+        for j, c in row.items():
+            if j != p:
+                for f, e in x[j].items():
+                    value[f] = value.get(f, 0) - row[p] * c * e
+        x[p] = {f: e for f, e in value.items() if e}
+    generators = {f: [0] * m.cols for f in free}
+    for j, coeffs in x.items():
+        for f, e in coeffs.items():
+            generators[f][j] = e
+    return (1,) * m.rows, [generators[f] for f in free]
+
+
+def echelon(m: IntMatrix) -> Echelon:
+    """Rank, image pivots and canonical kernel of M.
+
+    The unit-pivot pass runs first, and ``_hnf_pass`` only when some row of
+    M has no unit pivot.  Both give the pivots of HNF(M^T) and generators
+    of the full integer kernel, which are canonicalized, so the result
+    does not depend on the path.  Every returned kernel vector is
+    re-checked against M exactly.
+    """
+    found = _unit_pivot_pass(m)
+    pivots, generators = found if found is not None else _hnf_pass(m)
     lattice = canonical_lattice(m.cols, generators)
     if lattice.rank != len(generators):
         raise AssertionError("kernel generators were not independent")

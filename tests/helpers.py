@@ -8,6 +8,10 @@ the Lyndon words only; they share nothing with it but the Lyndon brackets.
 ``reference_smith_invariants`` is the direct Smith pivot search the package
 replaced by alternating Hermite forms, and ``reference_parse_expr`` the
 character-walking parser the package replaced by one token list.
+``reference_echelon`` is ``zlinalg.echelon`` by the dense HNF alone, without
+the unit-pivot pass, and ``reference_verify_certificate`` the check of a
+certificate on the full associative expansion of [A,a] + [B,b], which the
+package replaced by a check on the Lyndon coefficients.
 """
 
 from __future__ import annotations
@@ -15,16 +19,21 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from liering import zlinalg
 from liering.algebra import (
     MAX_DEPTH,
     BracketExpr,
     InconsistencyError,
     LieElement,
+    _accumulate,
+    _commutator,
+    _element_poly,
     basis_expansion,
     left_normed,
 )
+from liering.kernels import IdentityCertificate, _check_certificate_shape
 from liering.words import LETTERS, Leaf, Node, all_words, lyndon_bracket, lyndon_words
-from liering.zlinalg import IntMatrix
+from liering.zlinalg import Echelon, IntMatrix, _hnf_pass, canonical_lattice
 
 
 def rotations(word: str) -> list[str]:
@@ -237,6 +246,37 @@ def reference_smith_invariants(m: IntMatrix) -> tuple[int, ...]:
         invariants.append(abs(pivot))
         t += 1
     return tuple(invariants)
+
+
+def reference_echelon(m: IntMatrix) -> Echelon:
+    """Rank, pivots and canonical kernel from the HNF of [M^T | I] alone."""
+    pivots, generators = _hnf_pass(m)
+    return Echelon(len(pivots), pivots, canonical_lattice(m.cols, generators))
+
+
+def count_fallbacks(monkeypatch) -> list[tuple[int, int]]:
+    """Record the shape of every matrix ``zlinalg.echelon`` hands to the HNF pass."""
+    calls: list[tuple[int, int]] = []
+    real = zlinalg._hnf_pass
+
+    def counted(m: IntMatrix):
+        calls.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(zlinalg, "_hnf_pass", counted)
+    return calls
+
+
+def reference_verify_certificate(cert: IdentityCertificate) -> bool:
+    """Whether the associative expansion of [A,a] + [B,b] vanishes on every word.
+
+    The package's former check, verbatim, except that the verdict is
+    returned without being recorded on the certificate.
+    """
+    _check_certificate_shape(cert)
+    image = _commutator(_element_poly(cert.A), {"a": 1})
+    _accumulate(image, _commutator(_element_poly(cert.B), {"b": 1}))
+    return not image
 
 
 def reference_parse_expr(text: str) -> BracketExpr:

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
-from liering import algebra, families, kernels, words
+from liering import algebra, cli, families, kernels, oracle, words
 from liering.algebra import MAX_DEPTH
 from liering.cli import main
 from liering.families import i33_certificate
@@ -248,6 +249,54 @@ def test_a_failed_internal_verification_exits_1(capsys, monkeypatch, module, arg
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (("kernel", "25", "25"), "words"),
+        (("theta", "25", "25"), "words"),
+        (("basis", "25", "25"), "words"),
+        (("basis", "25", "25", "--format", "latex"), "words"),
+        (("kernel", "10", "10", "--certify"), "entries"),
+        (("theta", "10", "10"), "entries"),
+    ],
+)
+def test_an_oversized_slice_is_refused_before_enumeration(capsys, monkeypatch, argv, limit):
+    def no_enumeration(k, l):
+        raise AssertionError(f"enumerated the words of ({k}, {l})")
+
+    monkeypatch.setattr(words, "all_words", no_enumeration)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{limit}, more than the limit" in err
+
+
+def test_slice_limits_admit_the_frontier():
+    # (9, 9) has 48620 words and a 2700 x 2860 pair matrix.  basis 10 10
+    # lists 184756 words, although its 9225 x 9724 pair matrix is refused.
+    for k, l in ((9, 9), (10, 8), (1, 1200)):
+        cli.check_slice_size(k, l, pair_map=True)
+    cli.check_slice_size(10, 10, pair_map=False)
+    with pytest.raises(ValueError, match="9225x9724 entries"):
+        cli.check_slice_size(10, 10, pair_map=True)
+
+
+@pytest.mark.parametrize("option", [("--dim", "1000"), ("--trials", "100000")])
+def test_verify_refuses_oracle_work_past_the_limit(capsys, tmp_path, monkeypatch, option):
+    def no_trial(dim, seed):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(oracle, "random_assignment", no_trial)
+    payload = tmp_path / "cert.json"
+    payload.write_text(json.dumps(certificate_to_dict(i33_certificate(1))))
+    code, out, err = run(capsys, "verify", str(payload), "--oracle", *option)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"limit of {oracle.MAX_WORK}" in err
 
 
 def test_weight_at_the_depth_limit_is_accepted(capsys):

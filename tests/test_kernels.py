@@ -1,12 +1,19 @@
 """The pair map (A,B) -> [A,a]+[B,b]: matrices, kernels, certificates."""
 
 import dataclasses
+import random
 
 import pytest
 
-from helpers import reference_bracket
+from helpers import (
+    count_fallbacks,
+    reference_bracket,
+    reference_echelon,
+    reference_verify_certificate,
+)
 from liering import kernels, zlinalg
-from liering.algebra import LieElement, bracket, engel
+from liering.algebra import InconsistencyError, LieElement, bracket, engel
+from liering.families import i2_certificate, i33_certificate, qbad_certificate
 from liering.dims import kernel_dim, kernel_dim_a3, kernel_dim_bigraded
 from liering.kernels import (
     IdentityCertificate,
@@ -23,7 +30,7 @@ from liering.kernels import (
     pair_rank,
     verify_certificate,
 )
-from liering.zlinalg import canonical_lattice, lattice_equal, rank, smith_invariants
+from liering.zlinalg import canonical_lattice, echelon, lattice_equal, rank, smith_invariants
 
 
 def test_pair_matrix_small_examples():
@@ -102,8 +109,9 @@ def _corrupted(cert: IdentityCertificate) -> IdentityCertificate | None:
 
 
 def test_verify_certificate_agrees_with_pair_image_up_to_weight_10():
-    # verify_certificate checks the associative expansion and pair_image
-    # solves on the Lyndon block: two routes to the same verdict.
+    # verify_certificate reads the Lyndon coefficients off the associative
+    # expansions and pair_image solves on the Lyndon block: two routes to
+    # the same verdict.
     certified = corrupted = 0
     for n in range(1, 11):
         for k in range(n + 1):
@@ -117,6 +125,73 @@ def test_verify_certificate_agrees_with_pair_image_up_to_weight_10():
                     corrupted += 1
     # Only (2, 0) and (0, 2) have no copy off the kernel: their pair map is 0.
     assert (certified, corrupted) == (30, 28)
+
+
+def test_verify_certificate_agrees_with_the_full_expansion():
+    # Every kernel certificate of weight <= 12 and the family members up to
+    # weight 15, each with a seeded copy moved by +-1 on one coefficient of
+    # A or B whose pair-map column is nonzero, so the copy is off the kernel.
+    rng = random.Random(909)
+    certs = [cert for n in range(1, 13) for k in range(n + 1)
+             for cert in kernel_certificates(k, n - k)]
+    certs += [i2_certificate(m) for m in range(2, 13, 2)]
+    certs += [qbad_certificate(n) for n in range(1, 7)] + [i33_certificate(n) for n in range(1, 5)]
+    rejected = 0
+    for cert in certs:
+        assert verify_certificate(cert) is reference_verify_certificate(cert) is True
+        pm = pair_matrix(cert.k, cert.l)
+        movable = [j for j in range(pm.matrix.cols) if any(row[j] for row in pm.matrix.entries)]
+        if not movable:
+            continue
+        word, letter = pm.domain[rng.choice(movable)]
+        part, bd = ("A", (cert.k - 1, cert.l)) if letter == "a" else ("B", (cert.k, cert.l - 1))
+        step = LieElement(bd, {word: rng.choice((1, -1))})
+        bad = dataclasses.replace(cert, **{part: getattr(cert, part) + step})
+        assert verify_certificate(bad) is reference_verify_certificate(bad) is False
+        rejected += 1
+    # 79 kernel certificates, 16 family members; only the (2, 0) and (0, 2)
+    # certificates have no copy off the kernel: their pair map is 0.
+    assert (len(certs), rejected) == (95, 93)
+
+
+def test_a_corrupted_pair_matrix_is_caught_by_verification(monkeypatch):
+    # One entry added to the first column of the (3, 3) pair map moves its
+    # kernel, and the certificates of the moved kernel must fail, since the
+    # check never reads the pair matrix or bracket_with_letter.
+    k, l = 3, 3
+    true_kernel = kernel_lattice(k, l)
+    (word, letter), target = pair_matrix(k, l).domain[0], pair_matrix(k, l).codomain[0]
+    real = kernels.bracket_with_letter
+
+    def corrupted(x, with_letter):
+        image = real(x, with_letter)
+        if (x.coeffs, with_letter) == ({word: 1}, letter):
+            image = image + LieElement((k, l), {target: 1})
+        return image
+
+    caches = (kernels.pair_matrix, kernels._pair_echelon, kernels.kernel_certificates)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "bracket_with_letter", corrupted)
+            assert kernel_lattice(k, l) != true_kernel
+            with pytest.raises(InconsistencyError, match="failed re-verification"):
+                kernel_certificates(k, l)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert kernel_lattice(k, l) == true_kernel
+
+
+def test_echelon_matches_the_hnf_reference_on_pair_maps_up_to_weight_14(monkeypatch):
+    fallbacks = count_fallbacks(monkeypatch)
+    for n in range(1, 15):
+        for k in range(n + 1):
+            matrix = pair_matrix(k, n - k).matrix
+            assert echelon(matrix) == reference_echelon(matrix), (k, n - k)
+    # Only the weight-1 slices, whose domain is empty, have no unit pivots.
+    assert fallbacks == [(1, 0), (1, 0)]
 
 
 def test_kernel_certificate_counts_match_bookkeeping():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import random_bidegree, random_expr
+from liering import oracle
 from liering.algebra import left_normed, normalize
 from liering.families import i2_certificate, i33_certificate
 from liering.kernels import IdentityCertificate, kernel_certificates, verify_certificate
@@ -134,6 +135,23 @@ def test_oracle_validation():
         with pytest.raises(ValueError):
             evaluate_expr(left_normed("a", "b"), assign, modulus=modulus)
     assert not oracle_check(corrupted, trials=5, seed=1, modulus=2).passed
+
+
+@pytest.mark.parametrize("trials, dim", [(1, 1000), (100000, 2), (1, 47)])
+def test_oracle_work_is_refused_before_any_trial(monkeypatch, trials, dim):
+    def no_trial(dim, seed):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(oracle, "random_assignment", no_trial)
+    with pytest.raises(ValueError, match=f"limit of {oracle.MAX_WORK}"):
+        oracle_check(i2_certificate(2), trials=trials, dim=dim)
+
+
+def test_oracle_work_limit_admits_the_defaults_and_its_boundary():
+    # The default, 50 trials at dim 4, is also the largest call in the tests
+    # and the benchmark; one trial at dim 46 (46**3 = 97336) is just under.
+    assert oracle_check(i2_certificate(2)).passed
+    assert oracle_check(i2_certificate(2), trials=1, dim=46).passed
 
 
 def test_modulus_reduces_the_integer_value():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_smith_invariants
+from helpers import count_fallbacks, reference_echelon, reference_smith_invariants
 from liering import zlinalg
 from liering.zlinalg import (
     IntMatrix,
@@ -103,6 +103,42 @@ def test_echelon_refuses_a_vector_off_the_kernel(monkeypatch, wrong):
     monkeypatch.setattr(zlinalg, "canonical_lattice", spoiled)
     with pytest.raises(AssertionError, match="does not annihilate"):
         echelon(m)
+
+
+@pytest.mark.parametrize(
+    "entries, fallbacks",
+    [
+        ([[1, 0, 2, 0], [0, 1, -1, 3], [0, 0, 1, 1]], 0),  # unit pivots throughout
+        ([[2, -2, 0, 2], [0, 2, 2, -2]], 1),  # no unit entry at all
+        ([[1, 0, 1, 2], [0, 0, 0, 0]], 1),  # a zero row
+        ([[1, -1, 0, 2], [1, -1, 0, 2]], 1),  # two equal rows: one empties
+        ([[2, 3]], 1),  # onto Z, but not by a unit pivot
+    ],
+    ids=["units", "all-even", "zero-row", "equal-rows", "no-unit-onto"],
+)
+def test_echelon_falls_back_to_the_hnf_without_unit_pivots(monkeypatch, entries, fallbacks):
+    calls = count_fallbacks(monkeypatch)
+    m = IntMatrix(entries)
+    assert echelon(m) == reference_echelon(m)
+    assert len(calls) == fallbacks
+
+
+SPARSE_ENTRIES = (0,) * 8 + (-3, -2, -1, 1, 2, 3)
+sparse_matrices = st.integers(min_value=0, max_value=12).flatmap(
+    lambda r: st.integers(min_value=1, max_value=14).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from(SPARSE_ENTRIES), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        ).map(lambda rows: IntMatrix(rows, cols=c))
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices)
+def test_echelon_matches_the_hnf_reference_on_sparse_matrices(m):
+    assert echelon(m) == reference_echelon(m)
 
 
 def test_kernel_is_pure():

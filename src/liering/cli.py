@@ -26,27 +26,29 @@ from .kernels import (
 from .oracle import oracle_check
 from .words import bracket_string, lyndon_bracket, lyndon_words
 
-# The largest slice a command takes on: the words of its bidegree, which are
-# enumerated to find the Lyndon ones, and the entries of the dense pair
-# matrix.  (9, 9) has 48620 words and 2700 x 2860 = 7722000 entries.
+# The largest slice a command takes on.  ``basis`` enumerates the words of
+# its bidegree to find the Lyndon ones; ``kernel`` and ``theta`` also build
+# the dense pair matrix, whose entries outgrow the words: below the weight
+# limit, a slice within MAX_PAIR_ENTRIES has at most 437989 words, at
+# (136, 3).  (9, 9) has 48620 words and 2700 x 2860 = 7722000 entries.
 MAX_WORDS = 10**6
 MAX_PAIR_ENTRIES = 10**7
 
 
-def check_slice_size(k: int, l: int, pair_map: bool) -> None:
-    """Refuse a slice past MAX_WORDS, or with ``pair_map`` past MAX_PAIR_ENTRIES.
-
-    Both sizes come from closed forms, before any word is built.
-    """
+def check_word_count(k: int, l: int) -> None:
+    """Refuse a bidegree of more than MAX_WORDS words, before any is built."""
     words = dims.binom(k + l, k)
     if words > MAX_WORDS:
         raise ValueError(f"bidegree ({k}, {l}) has {words} words, more than the limit of {MAX_WORDS}")
-    if pair_map:
-        rows = dims.lie_dim_bigraded(k, l)
-        cols = dims.kernel_dim_bigraded(k, l) + rows
-        if rows * cols > MAX_PAIR_ENTRIES:
-            raise ValueError(f"the pair matrix of bidegree ({k}, {l}) has {rows}x{cols} entries, "
-                             f"more than the limit of {MAX_PAIR_ENTRIES}")
+
+
+def check_pair_entries(k: int, l: int) -> None:
+    """Refuse a pair matrix of more than MAX_PAIR_ENTRIES, before any word is built."""
+    rows = dims.lie_dim_bigraded(k, l)
+    cols = dims.kernel_dim_bigraded(k, l) + rows
+    if rows * cols > MAX_PAIR_ENTRIES:
+        raise ValueError(f"the pair matrix of bidegree ({k}, {l}) has {rows}x{cols} entries, "
+                         f"more than the limit of {MAX_PAIR_ENTRIES}")
 
 
 def _emit_json(data, out=None) -> None:
@@ -80,7 +82,7 @@ def _cmd_dims(args) -> int:
 def _cmd_basis(args) -> int:
     if args.format == "latex":
         check_weight(args.k, args.l)
-    check_slice_size(args.k, args.l, pair_map=False)
+    check_word_count(args.k, args.l)
     words = lyndon_words(args.k, args.l)
     if args.format == "json":
         _emit_json({"k": args.k, "l": args.l, "dim": len(words), "words": list(words)})
@@ -95,7 +97,7 @@ def _cmd_basis(args) -> int:
 
 def _cmd_theta(args) -> int:
     check_weight(args.k, args.l)
-    check_slice_size(args.k, args.l, pair_map=True)
+    check_pair_entries(args.k, args.l)
     pm = pair_matrix(args.k, args.l)
     data = {
         "k": pm.k,
@@ -126,7 +128,7 @@ def _family_comparison(k: int, l: int):
 
 def _cmd_kernel(args) -> int:
     check_weight(args.k, args.l)
-    check_slice_size(args.k, args.l, pair_map=True)
+    check_pair_entries(args.k, args.l)
     lattice = kernel_lattice(args.k, args.l)
     data = {
         "k": args.k,

@@ -26,8 +26,7 @@ from .algebra import (
     bracket_with_letter,
     check_weight,
 )
-from .words import bidegree as word_bidegree
-from .words import lyndon_bracket, lyndon_words
+from .words import is_lyndon, lyndon_bracket, lyndon_words
 from .zlinalg import (
     Echelon,
     IntMatrix,
@@ -162,24 +161,42 @@ def _check_certificate_shape(cert: IdentityCertificate) -> None:
 
 
 @lru_cache(maxsize=None)
+def _lyndon_key(word: str) -> str | None:
+    """The first copy of ``word`` seen if it is Lyndon, else None.
+
+    Memoized for the letter columns: the words they reach are the
+    letter-extended terms of cached ``_tree_poly`` dicts, which bound the
+    cache, and a word is met from many columns of a slice, which then
+    share one string for it as a key.
+    """
+    return word if is_lyndon(word) else None
+
+
+@lru_cache(maxsize=None)
 def _letter_column(word: str, letter: str) -> dict[str, int]:
     """Coefficients of [[word], letter] on the Lyndon words of its bidegree.
 
-    With P the associative expansion of [word], [[word], x] = Px - xP has
-    coefficient P(z[:-1]) [z ends in x] - P(z[1:]) [z starts with x] at z:
-    two lookups in the cached ``_tree_poly`` dict, and no solve.  The cache
-    is keyed by the domain words whose ``_tree_poly`` dicts are cached
+    With P the associative expansion of [word], [[word], x] = Px - xP.  A
+    Lyndon word of weight >= 2 starts with a and ends with b, so one term
+    of Px - xP alone reaches the Lyndon words: P(u) at z = ub when x is b,
+    and -P(u) at z = au when x is a.  The column walks the support of the
+    cached ``_tree_poly`` dict and tests each extended word with
+    ``_lyndon_key``: its work is bounded by that expansion, whatever the
+    size of the bidegree, and no word list is enumerated.  The cache is
+    keyed by the domain words whose ``_tree_poly`` dicts are cached
     already, and each value has at most dim L_{k,l} entries, against the
     thousands of the dict it reads.  Shared: read it, never write to it.
     """
     poly = _tree_poly(lyndon_bracket(word))
-    k, l = word_bidegree(word)
+    if letter == "b":
+        terms = ((u + "b", c) for u, c in poly.items() if u[0] == "a")
+    else:
+        terms = (("a" + u, -c) for u, c in poly.items() if u[-1] == "b")
     column = {}
-    for z in lyndon_words(k + (letter == "a"), l + (letter == "b")):
-        c = (poly.get(z[:-1], 0) if z[-1] == letter else 0) - (
-            poly.get(z[1:], 0) if z[0] == letter else 0)
-        if c:
-            column[z] = c
+    for z, c in terms:
+        key = _lyndon_key(z)
+        if key is not None:
+            column[key] = c
     return column
 
 
@@ -191,9 +208,11 @@ def verify_certificate(cert: IdentityCertificate) -> bool:
     because the Lyndon x Lyndon block of the basis expansion is unit
     triangular (Reutenauer, *Free Lie Algebras*, Ch. 4-5).  Those
     coefficients are summed from ``_letter_column``, which reads the
-    associative expansions of the basis words and solves nothing, so the
-    check shares only ``_tree_poly`` with the Lyndon-block solve that
-    computed the kernel vectors.
+    associative expansions of the basis words, tests words with
+    ``is_lyndon`` and solves nothing.  So the check shares only
+    ``_tree_poly`` with the Lyndon-block solve that computed the kernel
+    vectors, and does not depend on ``lyndon_words`` listing a bidegree
+    in full.
     """
     _check_certificate_shape(cert)
     image: dict[str, int] = {}

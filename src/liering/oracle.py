@@ -34,10 +34,16 @@ class MatrixAssignment:
 
 LOW, HIGH = -3, 3
 
-# The most work oracle_check takes on, counted as trials * dim**3: each trial
-# multiplies dim x dim matrices, at dim**3 steps a product.  The default of
-# 50 trials at dim 4 is 3200.
-MAX_WORK = 10**5
+# The most work oracle_check takes on, counted as trials * (dim + 4)**3: a
+# trial costs dim**3 steps a matrix product, and at small dim the sums and
+# the walk over the certificate, which (dim + 4)**3 also covers.  On the
+# (3, 3) certificate of i33 one step took 0.4-1.0 us over dims 2 to 120
+# (CPython 3.11 on a shared 2-core VM, twice that under load), so the
+# limit is 4-20 s of trials, less than the 24 s of ``kernel 9 9
+# --certify``, the largest slice the slice limits admit; a larger
+# certificate costs more a step.
+# The default of 50 trials at dim 4 is 25600.
+MAX_WORK = 10**7
 
 
 def random_assignment(dim: int, seed: int) -> MatrixAssignment:
@@ -207,14 +213,15 @@ def oracle_check(cert: IdentityCertificate, trials: int = 50, dim: int = 4,
 
     A "fail" verdict is a sound disproof of the certificate; a "pass"
     verdict only says no counterexample appeared among the trials.  More
-    than MAX_WORK of trials * dim**3 is refused before any trial.
+    than MAX_WORK of trials * (dim + 4)**3 is refused before any trial.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
-    if trials * dim**3 > MAX_WORK:
-        raise ValueError(f"trials * dim^3 = {trials * dim**3} is past the limit of {MAX_WORK}")
+    work = trials * (dim + 4)**3
+    if work > MAX_WORK:
+        raise ValueError(f"trials * (dim + 4)^3 = {work} is past the limit of {MAX_WORK}")
     _check_modulus(modulus)
     note = "passing trials are evidence, not proof"
     if modulus:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from liering import algebra, cli, families, kernels, oracle, words
+from liering import algebra, cli, dims, families, kernels, oracle, words
 from liering.algebra import MAX_DEPTH
 from liering.cli import main
 from liering.families import i33_certificate
@@ -254,8 +254,8 @@ def test_a_failed_internal_verification_exits_1(capsys, monkeypatch, module, arg
 @pytest.mark.parametrize(
     "argv, limit",
     [
-        (("kernel", "25", "25"), "words"),
-        (("theta", "25", "25"), "words"),
+        (("kernel", "25", "25"), "entries"),
+        (("theta", "25", "25"), "entries"),
         (("basis", "25", "25"), "words"),
         (("basis", "25", "25", "--format", "latex"), "words"),
         (("kernel", "10", "10", "--certify"), "entries"),
@@ -279,10 +279,24 @@ def test_slice_limits_admit_the_frontier():
     # (9, 9) has 48620 words and a 2700 x 2860 pair matrix.  basis 10 10
     # lists 184756 words, although its 9225 x 9724 pair matrix is refused.
     for k, l in ((9, 9), (10, 8), (1, 1200)):
-        cli.check_slice_size(k, l, pair_map=True)
-    cli.check_slice_size(10, 10, pair_map=False)
+        cli.check_pair_entries(k, l)
+    cli.check_word_count(10, 10)
     with pytest.raises(ValueError, match="9225x9724 entries"):
-        cli.check_slice_size(10, 10, pair_map=True)
+        cli.check_pair_entries(10, 10)
+
+
+def test_the_pair_entry_limit_bounds_the_words_enumerated():
+    # kernel and theta check only the pair matrix: every slice below the
+    # weight limit that it admits has at most MAX_WORDS words.
+    most = max(
+        (dims.binom(n, k), k, n - k)
+        for n in range(1, MAX_DEPTH + 1)
+        for k in range(n + 1)
+        if dims.lie_dim_bigraded(k, n - k)
+        * (dims.kernel_dim_bigraded(k, n - k) + dims.lie_dim_bigraded(k, n - k))
+        <= cli.MAX_PAIR_ENTRIES
+    )
+    assert most == (437989, 136, 3) and most[0] <= cli.MAX_WORDS
 
 
 @pytest.mark.parametrize("option", [("--dim", "1000"), ("--trials", "100000")])

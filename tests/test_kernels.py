@@ -11,7 +11,7 @@ from helpers import (
     reference_echelon,
     reference_verify_certificate,
 )
-from liering import kernels, zlinalg
+from liering import kernels, words, zlinalg
 from liering.algebra import InconsistencyError, LieElement, bracket, engel
 from liering.families import i2_certificate, i33_certificate, qbad_certificate
 from liering.dims import kernel_dim, kernel_dim_a3, kernel_dim_bigraded
@@ -152,6 +152,22 @@ def test_verify_certificate_agrees_with_the_full_expansion():
     # 79 kernel certificates, 16 family members; only the (2, 0) and (0, 2)
     # certificates have no copy off the kernel: their pair map is 0.
     assert (len(certs), rejected) == (95, 93)
+
+
+def test_verify_certificate_enumerates_no_bidegree(monkeypatch):
+    # A thin certificate of weight 100 has C(100, 4) = 3921225 words in its
+    # bidegree; the check walks the expansions of A and B alone.
+    good = dataclasses.replace(i2_certificate(96))
+    thin = IdentityCertificate(4, 96, LieElement((3, 96), {"aaa" + "b" * 96: 1}),
+                               LieElement((4, 95), {"aaaa" + "b" * 95: 1}))
+
+    def no_enumeration(k, l):
+        raise AssertionError(f"enumerated the words of ({k}, {l})")
+
+    monkeypatch.setattr(words, "all_words", no_enumeration)
+    monkeypatch.setattr(kernels, "lyndon_words", no_enumeration)
+    assert verify_certificate(good) is True
+    assert verify_certificate(thin) is reference_verify_certificate(thin) is False
 
 
 def test_a_corrupted_pair_matrix_is_caught_by_verification(monkeypatch):

@@ -137,21 +137,34 @@ def test_oracle_validation():
     assert not oracle_check(corrupted, trials=5, seed=1, modulus=2).passed
 
 
-@pytest.mark.parametrize("trials, dim", [(1, 1000), (100000, 2), (1, 47)])
-def test_oracle_work_is_refused_before_any_trial(monkeypatch, trials, dim):
-    def no_trial(dim, seed):
-        raise AssertionError("a trial ran")
+class TrialStarted(Exception):
+    pass
 
-    monkeypatch.setattr(oracle, "random_assignment", no_trial)
+
+def _first_trial_raises(dim, seed):
+    raise TrialStarted
+
+
+@pytest.mark.parametrize("trials, dim", [(1, 1000), (100000, 2), (100000, 4), (1, 212)])
+def test_oracle_work_is_refused_before_any_trial(monkeypatch, trials, dim):
+    monkeypatch.setattr(oracle, "random_assignment", _first_trial_raises)
     with pytest.raises(ValueError, match=f"limit of {oracle.MAX_WORK}"):
         oracle_check(i2_certificate(2), trials=trials, dim=dim)
 
 
-def test_oracle_work_limit_admits_the_defaults_and_its_boundary():
+@pytest.mark.parametrize("trials, dim", [(1, 211), (1, 47), (200, 8), (2000, 2)])
+def test_oracle_work_limit_admits_its_boundary(monkeypatch, trials, dim):
+    # 215**3 = 9938375 is the last single trial under the limit, and 216**3
+    # is past it; the first trial is stopped as it starts.
+    monkeypatch.setattr(oracle, "random_assignment", _first_trial_raises)
+    with pytest.raises(TrialStarted):
+        oracle_check(i2_certificate(2), trials=trials, dim=dim)
+
+
+def test_oracle_work_limit_admits_the_defaults():
     # The default, 50 trials at dim 4, is also the largest call in the tests
-    # and the benchmark; one trial at dim 46 (46**3 = 97336) is just under.
+    # and the benchmark.
     assert oracle_check(i2_certificate(2)).passed
-    assert oracle_check(i2_certificate(2), trials=1, dim=46).passed
 
 
 def test_modulus_reduces_the_integer_value():

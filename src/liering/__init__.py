@@ -53,6 +53,6 @@ from .kernels import (
 )
 from .oracle import MatrixAssignment, OracleReport, oracle_check, random_assignment
 from .words import is_lyndon, lyndon_bracket, lyndon_words, standard_factorization
-from .zlinalg import IntMatrix, KernelLattice, hnf, kernel, lattice_equal, rank, smith_invariants
+from .zlinalg import IntMatrix, KernelLattice, lattice_equal
 
 __version__ = "0.1.0"

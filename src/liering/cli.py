@@ -12,7 +12,7 @@ import sys
 
 from . import dims
 from .algebra import InconsistencyError, check_weight, normalize, parse_expr
-from .families import FAMILY_BUILDERS
+from .families import FAMILY_BUILDERS, check_family_size
 from .kernels import (
     certificate_from_dict,
     certificate_latex,
@@ -61,6 +61,7 @@ def _emit_json(data, out=None) -> None:
 
 
 def _cmd_dims(args) -> int:
+    check_weight(args.max_weight, 0)
     if args.format == "json":
         data = {
             "total": [
@@ -145,16 +146,11 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    if args.name == "i2":
-        if args.m is None:
-            raise ValueError("family i2 needs --m")
-        size, bidegree = args.m, (2, args.m)
-    else:
-        if args.n is None:
-            raise ValueError(f"family {args.name} needs --n")
-        size = args.n
-        bidegree = (2, 2 * size) if args.name == "qbad" else (3, 3 * size)
-    check_weight(*bidegree)
+    option = "m" if args.name == "i2" else "n"
+    size = getattr(args, option)
+    if size is None:
+        raise ValueError(f"family {args.name} needs --{option}")
+    check_family_size(args.name, size)
     cert = FAMILY_BUILDERS[args.name](size)
     if args.format == "latex":
         print(certificate_latex(cert))

@@ -28,6 +28,7 @@ from .algebra import (
     LieElement,
     bracket,
     bracket_with_letter,
+    check_weight,
     engel,
 )
 from .dims import binom
@@ -194,3 +195,27 @@ FAMILY_BUILDERS = {
     "qbad": qbad_certificate,
     "i33": i33_certificate,
 }
+
+# The bidegree of each family member, by its size: m for i2, n otherwise.
+FAMILY_BIDEGREES = {
+    "i2": lambda m: (2, m),
+    "qbad": lambda n: (2, 2 * n),
+    "i33": lambda n: (3, 3 * n),
+}
+
+# The largest i33 member built on request.  Its engel triples cost far
+# more than the pairs of i2 and qbad, which need only the weight limit
+# (``family i2 --m 254`` takes about 3 s and 0.8 GB).  Fresh-process runs
+# of ``family i33`` on a 2-core VM with CPython 3.11: 8.0 s and 1.37 GB
+# at n = 27, 10.8 s and 1.61 GB at n = 28, 11.0 s and 1.91 GB at n = 29,
+# and no result in 500 s at n = 40.  ``kernel 9 9 --certify``, the
+# balanced frontier, peaked at 1.63 GB there, so n = 28 is the largest
+# member within it.
+MAX_I33_N = 28
+
+
+def check_family_size(name: str, size: int) -> None:
+    """Refuse a member past the weight limit, or i33 past MAX_I33_N, before any bracket."""
+    check_weight(*FAMILY_BIDEGREES[name](size))
+    if name == "i33" and size > MAX_I33_N:
+        raise ValueError(f"family i33 with n = {size} exceeds the limit of {MAX_I33_N}")

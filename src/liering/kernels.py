@@ -33,7 +33,6 @@ from .zlinalg import (
     KernelLattice,
     echelon,
     lattice_coordinates,
-    smith_invariants,
 )
 
 
@@ -269,21 +268,22 @@ def check_surjective(k: int, l: int) -> SurjectivityReport:
     The pivots are those of the slice's cached ``echelon``.  When the rank
     equals the number of rows, the nonzero rows of HNF(M^T) are a
     triangular basis of the image lattice, of index the product of the
-    pivots, so the cokernel is trivial exactly when every pivot is 1.  The
-    unit-pivot pass reports that case directly (rank = rows, every pivot 1),
-    having shown M unimodularly onto Z^rows.  Only otherwise, which no
-    slice of weight >= 2 is, does a Smith form run.
+    pivots, so the cokernel is trivial exactly when every pivot is 1; the
+    invariant factors are then all 1.  The unit-pivot pass reports that
+    case directly, having shown M unimodularly onto Z^rows.  Any other
+    echelon contradicts the surjectivity of the pair map in weight >= 2,
+    so it means the pair matrix is wrong, and raises InconsistencyError.
     """
     if k + l < 2:
         raise ValueError(f"surjectivity check needs weight >= 2, got ({k}, {l})")
-    pm = pair_matrix(k, l)
-    rows = pm.matrix.rows
+    rows = pair_matrix(k, l).matrix.rows
     ech = _pair_echelon(k, l)
-    if ech.rank == rows and all(p == 1 for p in ech.pivots):
-        factors = (1,) * rows
-    else:
-        factors = smith_invariants(pm.matrix)
-    return SurjectivityReport(k, l, codomain_dim=rows, rank=ech.rank, invariant_factors=factors)
+    if ech.rank != rows or any(p != 1 for p in ech.pivots):
+        raise InconsistencyError(
+            f"the pair map of bidegree ({k}, {l}) is not onto Z^{rows}: "
+            f"rank {ech.rank}, largest pivot {max(ech.pivots, default=0)}"
+        )
+    return SurjectivityReport(k, l, codomain_dim=rows, rank=rows, invariant_factors=(1,) * rows)
 
 
 def lattice_membership(cert: IdentityCertificate) -> MembershipReport:

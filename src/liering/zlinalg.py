@@ -1,5 +1,5 @@
-"""Exact integer linear algebra: Hermite and Smith normal forms, ranks,
-and canonical bases of integer kernel lattices.
+"""Exact integer linear algebra for the pair map: one echelon pass per
+matrix, and canonical bases of integer kernel lattices.
 
 Everything works on arbitrary-precision Python integers; there is no
 floating point anywhere.  There are two elimination loops.
@@ -13,22 +13,17 @@ elimination that takes only pivots of +1 or -1, so it never divides and
 needs no Hermite form; it gives up, and returns None, on any row that has
 no such pivot.
 
-``hnf`` reduces [M | I] and splits off the unimodular U with U*M = H
-(tests check the reconstruction and unimodularity; production calls skip
-the multiplication).  ``echelon`` is the one pass per matrix the rest of
-the package needs: the rank of M, the pivots that decide whether M maps
-onto Z^rows, and the kernel of M.  It tries the unit-pivot pass first and
-falls back to reducing [M^T | I] with ``_row_echelon``.  Either way the
+``echelon`` is the one pass per matrix the rest of the package needs: the
+rank of M, the pivots that decide whether M maps onto Z^rows, and the
+kernel of M.  It tries the unit-pivot pass first and falls back to
+reducing [M^T | I] with ``_row_echelon`` (``_hnf_pass``).  Either way the
 kernel is canonicalized with ``_row_echelon`` and re-checked against M.
-``smith_invariants`` alternates the dense loop on a matrix and its
-transpose.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -57,35 +52,6 @@ class IntMatrix:
         self.cols = cols
         self.entries = data
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.entries):
-            target = out[i]
-            for k, c in enumerate(row):
-                if c:
-                    other_row = other.entries[k]
-                    for j, v in enumerate(other_row):
-                        if v:
-                            target[j] += c * v
-        return IntMatrix(out, cols=other.cols)
-
-    def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
-        if len(vector) != self.cols:
-            raise ValueError(f"vector length {len(vector)} != cols {self.cols}")
-        return tuple(sum(c * v for c, v in zip(row, vector)) for row in self.entries)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -101,14 +67,6 @@ class IntMatrix:
             "cols": self.cols,
             "entries": [str(v) for row in self.entries for v in row],
         }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "IntMatrix":
-        rows, cols = int(record["rows"]), int(record["cols"])
-        flat = [int(s) for s in record["entries"]]
-        if len(flat) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(flat)}")
-        return cls([flat[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
 
 
 def _row_echelon(mat: list[list[int]], cols: int) -> int:
@@ -157,50 +115,6 @@ def _row_echelon(mat: list[list[int]], cols: int) -> int:
     return rank
 
 
-def _with_identity(rows: list[list[int]]) -> list[list[int]]:
-    """The rows of [R | I], as fresh lists."""
-    n = len(rows)
-    return [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
-
-
-def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite normal form (H, U) with U unimodular and U @ M = H."""
-    work = _with_identity(m.entries)
-    _row_echelon(work, m.cols)
-    h = [row[: m.cols] for row in work]
-    u = [row[m.cols :] for row in work]
-    return IntMatrix(h, cols=m.cols), IntMatrix(u, cols=m.rows)
-
-
-def rank(m: IntMatrix) -> int:
-    """Rank over the rationals (equivalently, number of HNF pivots)."""
-    return _row_echelon([row[:] for row in m.entries], m.cols)
-
-
-def smith_invariants(m: IntMatrix) -> tuple[int, ...]:
-    """Positive invariant factors d1 | d2 | ... of the matrix.
-
-    Row HNFs of the matrix and of its transpose alternate, zero rows
-    dropped, until every row has a single nonzero entry (Kannan and
-    Bachem, SIAM J. Comput. 8(4), 1979).  The diagonal left over is
-    equivalent to the Smith form, and pairwise gcd/lcm swaps put it in
-    divisor order.
-    """
-    work, cols = [row[:] for row in m.entries], m.cols
-    while True:
-        r = _row_echelon(work, cols)
-        del work[r:]
-        if all(sum(1 for v in row if v) == 1 for row in work):
-            break
-        work, cols = [list(column) for column in zip(*work)], r
-    diagonal = [next(v for v in row if v) for row in work]  # HNF pivots are positive
-    for i in range(len(diagonal)):
-        for j in range(i + 1, len(diagonal)):
-            g = gcd(diagonal[i], diagonal[j])
-            diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
-    return tuple(diagonal)
-
-
 @dataclass(frozen=True)
 class KernelLattice:
     """An integer lattice presented by basis row vectors.
@@ -247,7 +161,8 @@ def _hnf_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
     M, and since U is unimodular they span the full integer kernel, a pure
     sublattice (a direct summand), not just a finite-index one.
     """
-    work = _with_identity([[row[j] for row in m.entries] for j in range(m.cols)])
+    n = m.cols
+    work = [[row[j] for row in m.entries] + [int(i == j) for i in range(n)] for j in range(n)]
     r = _row_echelon(work, m.rows)
     pivots = tuple(next(v for v in row if v) for row in work[:r])
     return pivots, [row[m.rows :] for row in work[r:]]
@@ -347,11 +262,6 @@ def echelon(m: IntMatrix) -> Echelon:
         if any(sum(c * vector[j] for j, c in row) for row in sparse_rows):
             raise AssertionError("computed kernel vector does not annihilate the matrix")
     return Echelon(len(pivots), pivots, lattice)
-
-
-def kernel(m: IntMatrix) -> KernelLattice:
-    """Canonical basis of the full integer kernel {x : M x = 0}."""
-    return echelon(m).kernel
 
 
 def _canonicalize(lat: KernelLattice) -> KernelLattice:

@@ -5,8 +5,9 @@ that normalization is checked against a second implementation, not against
 itself.  ``reference_normalize`` and ``reference_bracket`` solve over every
 word of the bidegree, with a residual check, where the package solves on
 the Lyndon words only; they share nothing with it but the Lyndon brackets.
-``reference_smith_invariants`` is the direct Smith pivot search the package
-replaced by alternating Hermite forms, and ``reference_parse_expr`` the
+``reference_smith_invariants`` is a direct Smith pivot search, the witness
+for saturated kernels and trivial cokernels now that the package reads
+surjectivity off its echelon pivots, and ``reference_parse_expr`` the
 character-walking parser the package replaced by one token list.
 ``reference_echelon`` is ``zlinalg.echelon`` by the dense HNF alone, without
 the unit-pivot pass, and ``reference_verify_certificate`` the check of a
@@ -187,8 +188,7 @@ def reference_smith_invariants(m: IntMatrix) -> tuple[int, ...]:
 
     Each step moves the smallest nonzero entry of the trailing block to the
     corner, clears its row and column, and folds in a row the pivot does
-    not divide.  It shares no code with ``zlinalg.smith_invariants``, which
-    alternates Hermite forms of the matrix and its transpose.
+    not divide.  It shares no code with ``zlinalg``.
     """
     a = [row[:] for row in m.entries]
     rows, cols = m.rows, m.cols

@@ -313,12 +313,56 @@ def test_verify_refuses_oracle_work_past_the_limit(capsys, tmp_path, monkeypatch
     assert f"limit of {oracle.MAX_WORK}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "--max-weight", str(MAX_DEPTH + 1)),
+        ("dims", "--max-weight", "2000", "--bigraded"),
+        ("dims", "--max-weight", "20000", "--format", "json"),
+    ],
+)
+def test_dims_refuses_a_weight_past_the_depth_limit(capsys, monkeypatch, argv):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    for name in ("total_records", "bigraded_records", "format_tables"):
+        monkeypatch.setattr(dims, name, no_table)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"limit of {MAX_DEPTH}" in err
+
+
+@pytest.mark.parametrize("n", [families.MAX_I33_N + 1, 40, 84])
+def test_family_i33_past_its_limit_is_refused_before_any_bracket(capsys, monkeypatch, n):
+    def no_bracket(x, y):
+        raise AssertionError("a bracket was computed")
+
+    monkeypatch.setattr(families, "bracket", no_bracket)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family", "i33", "--n", str(n))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"limit of {families.MAX_I33_N}" in err
+
+
+def test_family_limits_admit_the_largest_members():
+    # Building them takes seconds and gigabytes, so only the check runs.
+    largest = (("i33", families.MAX_I33_N), ("i2", MAX_DEPTH - 2), ("qbad", MAX_DEPTH // 2 - 1))
+    for name, size in largest:
+        families.check_family_size(name, size)
+
+
 def test_weight_at_the_depth_limit_is_accepted(capsys):
     for argv in (
         ("kernel", "1", str(MAX_DEPTH - 1), "--certify"),
         ("theta", str(MAX_DEPTH - 1), "1"),
         ("basis", "1", str(MAX_DEPTH - 1), "--format", "latex"),
         ("basis", "1", "1200"),
+        ("dims", "--max-weight", str(MAX_DEPTH), "--bigraded"),
     ):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out, argv

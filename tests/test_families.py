@@ -4,6 +4,8 @@ import pytest
 
 from liering.algebra import bracket_with_letter, engel, left_normed, normalize
 from liering.families import (
+    FAMILY_BIDEGREES,
+    FAMILY_BUILDERS,
     append_b_rewrite,
     engel_pair,
     engel_triple,
@@ -112,6 +114,12 @@ def test_i33_certificate_verifies_up_to_n4():
         assert not cert.A.is_zero()
     with pytest.raises(ValueError):
         i33_certificate(0)
+
+
+@pytest.mark.parametrize("name, size", [("i2", 6), ("qbad", 3), ("i33", 2)])
+def test_family_bidegrees_match_the_builders(name, size):
+    cert = FAMILY_BUILDERS[name](size)
+    assert (cert.k, cert.l) == FAMILY_BIDEGREES[name](size)
 
 
 def test_partial_sums_stage_one_closed_form():

@@ -9,6 +9,7 @@ from helpers import (
     count_fallbacks,
     reference_bracket,
     reference_echelon,
+    reference_smith_invariants,
     reference_verify_certificate,
 )
 from liering import kernels, words, zlinalg
@@ -30,7 +31,7 @@ from liering.kernels import (
     pair_rank,
     verify_certificate,
 )
-from liering.zlinalg import canonical_lattice, echelon, lattice_equal, rank, smith_invariants
+from liering.zlinalg import Echelon, canonical_lattice, echelon, lattice_equal
 
 
 def test_pair_matrix_small_examples():
@@ -260,10 +261,10 @@ def test_surjectivity_weight_2_to_8_with_trivial_cokernel():
             report = check_surjective(k, n - k)
             assert report.surjective, (k, n - k)
             assert all(f == 1 for f in report.invariant_factors)
-            # Smith normal form and a separate rank pass are the references.
+            # The Smith pivot search and the HNF pass alone are the references.
             matrix = pair_matrix(k, n - k).matrix
-            assert report.invariant_factors == smith_invariants(matrix), (k, n - k)
-            assert pair_rank(k, n - k) == rank(matrix), (k, n - k)
+            assert report.invariant_factors == reference_smith_invariants(matrix), (k, n - k)
+            assert pair_rank(k, n - k) == reference_echelon(matrix).rank, (k, n - k)
 
 
 def test_check_surjective_reuses_the_kernel_pass(monkeypatch):
@@ -274,10 +275,22 @@ def test_check_surjective_reuses_the_kernel_pass(monkeypatch):
     def no_reduction(*args, **kwargs):
         raise AssertionError("check_surjective reduced a matrix again")
 
-    monkeypatch.setattr(kernels, "smith_invariants", no_reduction)
     monkeypatch.setattr(zlinalg, "_row_echelon", no_reduction)
     for k, l in slices:
         assert check_surjective(k, l).surjective, (k, l)
+
+
+@pytest.mark.parametrize("spoil", ["rank", "pivot"])
+def test_check_surjective_refuses_an_echelon_that_is_not_onto(monkeypatch, spoil):
+    # Weight >= 2 pair maps are onto, so either echelon means a wrong pair matrix.
+    rows = pair_matrix(3, 4).matrix.rows
+    true = kernels._pair_echelon(3, 4)
+    assert true.pivots == (1,) * rows
+    spoiled = {"rank": Echelon(rows - 1, (1,) * (rows - 1), true.kernel),
+               "pivot": Echelon(rows, (2,) + (1,) * (rows - 1), true.kernel)}[spoil]
+    monkeypatch.setattr(kernels, "_pair_echelon", lambda k, l: spoiled)
+    with pytest.raises(InconsistencyError, match=r"bidegree \(3, 4\) is not onto"):
+        check_surjective(3, 4)
 
 
 def test_lattice_membership():

@@ -7,30 +7,34 @@ Two element representations are kept honest against each other:
 * :class:`LieElement`, integer coordinates on the Lyndon-Shirshov basis of
   one bidegree, is the canonical output shape.
 
-``bracket`` is the one solve.  [x, y] is a Lie polynomial, and a Lie
-polynomial is fixed by its coefficients on the Lyndon words alone (Reutenauer,
-*Free Lie Algebras*, Ch. 4-5): the Lyndon x Lyndon block of the basis
-expansion is unit triangular, since the expansion of [w] has coefficient 1
-on w and is otherwise supported on lexicographically larger rearrangements
-of w.  So ``bracket`` computes xy - yx on the Lyndon words of its bidegree
-only and back-substitutes on that block, which ``_lyndon_block`` reads off
-the standard factorizations and caches per bidegree (dim L_{k,l} rows, 429
-at (7, 8) against 6435 words).  A block row that does not lead with 1
-raises instead of truncating.
+``bracket`` rewrites products of Lyndon words, as in the proof that they
+form a Hall set (Reutenauer, *Free Lie Algebras*, Ch. 4-5).  For Lyndon
+u < v, [[u], [v]] = [uv] when u is a letter or the right standard factor u2
+of u = u1u2 has u2 >= v; otherwise [[u], [v]] = [[u1, v], u2] + [u1, [u2, v]]
+and each product is rewritten again.  Nothing is expanded in the free
+associative ring and no word list is enumerated, so the cost follows the
+words reached, not the size of the bidegree.
+
+``_prod(u, v)``, the rewritten product, is memoized for the life of the
+process, and so is ``_factor``, the standard factorization it reads.  The
+memo holds one dict per pair of Lyndon words reached, with at most dim
+L_{k,l} entries: 4130 pairs for the pair matrix of (8, 8) and 13901 for
+(9, 9), about 5 MB, in fresh processes.  The pairs recur: the 2000
+expressions of the ``normalize`` benchmark workload (seed 1101) met 5003
+new pairs against 66479 repeats, so clearing the memo per call or per
+slice would redo most of the work.
 
 ``normalize`` maps the first representation onto the second by folding
 ``bracket`` over each tree: a leaf is its letter and [L, R] is the bracket
-of the folded children.  So neither ``normalize`` nor ``bracket`` asks
-``_tree_poly``, the cached expansion [x, y] = xy - yx of a tree in the free
-associative ring, for anything but Lyndon brackets, and its cache is
-bounded by the Lyndon words reached.  ``assoc_expand`` applies the same
-expansion to an arbitrary expression, and caches its trees, for checks
-against the associative ring.
+of the folded children.  ``_tree_poly``, the cached expansion
+[x, y] = xy - yx of a tree in the free associative ring, serves only
+``assoc_expand``, which applies it to an arbitrary expression for checks
+against the associative ring, and the certificate check in ``kernels``.
 
 Every sum of word or tree dicts goes through ``_accumulate(out, terms,
 scale)``, which adds scale * terms into ``out`` in place, and every xy - yx
 on word dicts through ``_commutator``.  The caller owns ``out``: it is a
-fresh dict or a copy, never a dict cached by ``_tree_poly``.
+fresh dict or a copy, never a dict cached by ``_tree_poly`` or ``_prod``.
 
 Coefficients are plain Python integers throughout; nothing here ever
 rounds or overflows.  All public functions are pure, and the internal
@@ -51,7 +55,6 @@ from .words import (
     bracket_string,
     is_lyndon,
     lyndon_bracket,
-    lyndon_words,
     standard_factorization,
     tree_bidegree,
 )
@@ -151,14 +154,23 @@ class BracketExpr:
         self.terms = data
 
     @classmethod
+    def _make(cls, terms: dict[BracketTree, int]) -> "BracketExpr":
+        # Internal fast path: trusts the caller's dict of trees to nonzero ints.
+        expr = object.__new__(cls)
+        expr.terms = terms
+        return expr
+
+    @classmethod
     def letter(cls, letter: str) -> "BracketExpr":
         if letter not in LETTERS:
             raise ValueError(f"letter must be one of {LETTERS}, got {letter!r}")
-        return cls({Leaf(letter): 1})
+        return cls._make({Leaf(letter): 1})
 
     @classmethod
     def from_tree(cls, tree: BracketTree) -> "BracketExpr":
-        return cls({tree: 1})
+        if not isinstance(tree, (Leaf, Node)):
+            raise TypeError(f"expected a bracket tree, got {tree!r}")
+        return cls._make({tree: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -174,20 +186,22 @@ class BracketExpr:
     def __add__(self, other: "BracketExpr") -> "BracketExpr":
         if not isinstance(other, BracketExpr):
             return NotImplemented
-        return BracketExpr(_accumulate(dict(self.terms), other.terms))
+        return BracketExpr._make(_accumulate(dict(self.terms), other.terms))
 
     def __neg__(self) -> "BracketExpr":
-        return BracketExpr({t: -c for t, c in self.terms.items()})
+        return BracketExpr._make({t: -c for t, c in self.terms.items()})
 
     def __sub__(self, other: "BracketExpr") -> "BracketExpr":
         if not isinstance(other, BracketExpr):
             return NotImplemented
-        return BracketExpr(_accumulate(dict(self.terms), other.terms, -1))
+        return BracketExpr._make(_accumulate(dict(self.terms), other.terms, -1))
 
     def __rmul__(self, scalar: int) -> "BracketExpr":
         if not isinstance(scalar, int):
             return NotImplemented
-        return BracketExpr({t: scalar * c for t, c in self.terms.items()})
+        if scalar == 0:
+            return BracketExpr._make({})
+        return BracketExpr._make({t: scalar * c for t, c in self.terms.items()})
 
     __mul__ = __rmul__
 
@@ -195,8 +209,8 @@ class BracketExpr:
         """Bilinear bracket, term by term."""
         other = as_expr(other)
         # Distinct (s, t) pairs give distinct Node(s, t) keys: nothing to merge.
-        return BracketExpr({Node(s, t): cs * ct for s, cs in self.terms.items()
-                            for t, ct in other.terms.items()})
+        return BracketExpr._make({Node(s, t): cs * ct for s, cs in self.terms.items()
+                                  for t, ct in other.terms.items()})
 
     def bidegree(self) -> tuple[int, int] | None:
         """Common bidegree of all terms, None for the zero expression."""
@@ -361,110 +375,63 @@ class LieElement:
         return f"LieElement({self.bidegree}, {self})"
 
 
-def _element_poly(x: LieElement) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for word, c in x.coeffs.items():
-        _accumulate(out, _tree_poly(lyndon_bracket(word)), c)
-    return out
-
-
 def basis_expansion(x: LieElement) -> BracketExpr:
     """The element as a combination of standard-bracketed Lyndon words."""
-    return BracketExpr({lyndon_bracket(w): c for w, c in x.coeffs.items()})
-
-
-def _expansion(x: LieElement) -> tuple[Mapping[str, int], int]:
-    """(word dict, scale) with scale * dict the associative expansion of x.
-
-    A one-term element hands out its shared ``_tree_poly`` dict unscaled,
-    so nothing is copied; read it, never write to it.
-    """
-    if len(x.coeffs) == 1:
-        ((word, c),) = x.coeffs.items()
-        return _tree_poly(lyndon_bracket(word)), c
-    return _element_poly(x), 1
-
-
-def _prefix_groups(words: tuple[str, ...]) -> dict[tuple[int, int], tuple]:
-    """(prefix length, a's in the prefix) -> the (index, word) pairs it fits."""
-    groups: dict[tuple[int, int], list[tuple[int, str]]] = {}
-    for j, z in enumerate(words):
-        a_count = 0
-        for n in range(1, len(z)):
-            a_count += z[n - 1] == "a"
-            groups.setdefault((n, a_count), []).append((j, z))
-    return {key: tuple(pairs) for key, pairs in groups.items()}
-
-
-def _commutator_on(p: Mapping[str, int], p_bd: tuple[int, int], q: Mapping[str, int],
-                   q_bd: tuple[int, int], groups) -> dict[int, int]:
-    """Coefficients of pq - qp on the words of ``groups``, by word index.
-
-    p and q are homogeneous of bidegrees p_bd and q_bd, so a word z can meet
-    xy (x, y one of p, q) only if its prefix of length |x| has x's bidegree:
-    the coefficient is x(z[:|x|]) * y(z[|x|:]), and other words are skipped.
-    """
-    out: dict[int, int] = {}
-    for x, x_bd, y, sign in ((p, p_bd, q, 1), (q, q_bd, p, -1)):
-        n = x_bd[0] + x_bd[1]
-        xg, yg = x.get, y.get
-        for j, z in groups.get((n, x_bd[0]), ()):
-            c = xg(z[:n])
-            if c:
-                c *= yg(z[n:], 0)
-                if c:
-                    out[j] = out.get(j, 0) + sign * c
-    return out
+    return BracketExpr._make({lyndon_bracket(w): c for w, c in x.coeffs.items()})
 
 
 @lru_cache(maxsize=None)
-def _lyndon_block(k: int, l: int):
-    """The Lyndon x Lyndon block of the basis expansion, for weight >= 2.
+def _factor(word: str) -> tuple[str, str]:
+    """The standard factorization of a Lyndon word of length >= 2, memoized."""
+    return standard_factorization(word)
 
-    Returns (Lyndon words, their prefix groups, rows): row i lists the pairs
-    (j, <[w_i], w_j>) with j > i and a nonzero entry.  Each row is read off
-    the standard factorization [w] = [[u], [v]] and the cached expansions of
-    u and v, never from an expansion at (k, l) itself.  The row must lead
-    with 1 at w_i; anything else means the triangular structure is broken.
+
+@lru_cache(maxsize=None)
+def _prod(u: str, v: str) -> dict[str, int]:
+    """Lyndon coordinates of [[u], [v]] for Lyndon words u < v.
+
+    When u is a letter or its right standard factor u2 has u2 >= v, (u, v)
+    is the standard factorization of uv and [[u], [v]] = [uv].  Otherwise
+    [[u1, u2], v] = [[u1, v], u2] + [u1, [u2, v]] by the Jacobi identity,
+    and each product is rewritten again; Lyndon words form a Hall set, so
+    this ends (Reutenauer, *Free Lie Algebras*, Ch. 4-5).  The memo lives
+    as long as the process: a slice meets the same products from many
+    columns and trees, and the products of smaller weight recur in every
+    larger slice, so keeping it saves most of the work; its entries are
+    pairs of Lyndon words actually reached (see the module docstring).
+    Shared: read it, never write to it.
     """
-    words = lyndon_words(k, l)
-    groups = _prefix_groups(words)
-    rows = []
-    for i, w in enumerate(words):
-        u, v = standard_factorization(w)
-        row = _commutator_on(_tree_poly(lyndon_bracket(u)), word_bidegree(u),
-                             _tree_poly(lyndon_bracket(v)), word_bidegree(v), groups)
-        entries = sorted((j, e) for j, e in row.items() if e)
-        if not entries or entries[0] != (i, 1):
-            raise InconsistencyError(f"Lyndon block is not unit triangular at {w!r}")
-        rows.append(tuple(entries[1:]))
-    return words, groups, tuple(rows)
+    if len(u) > 1:
+        u1, u2 = _factor(u)
+        if u2 < v:
+            out: dict[str, int] = {}
+            for w, c in _prod(u1, v).items():  # [[u1, v], u2]
+                _add_product(out, w, u2, c)
+            for w, c in _prod(u2, v).items():  # [u1, [u2, v]]
+                _add_product(out, u1, w, c)
+            return out
+    return {u + v: 1}
+
+
+def _add_product(out: dict[str, int], u: str, v: str, c: int) -> None:
+    """Add c * [[u], [v]] into ``out``: [[v], [u]] = -[[u], [v]], [[u], [u]] = 0."""
+    if u < v:
+        _accumulate(out, _prod(u, v), c)
+    elif v < u:
+        _accumulate(out, _prod(v, u), -c)
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """Normalized bracket of two basis-coordinate elements.
-
-    [x, y] is a Lie polynomial, so its coefficients on the Lyndon words of
-    its bidegree determine it: they are back-substituted on the Lyndon block.
-    """
+    """Normalized bracket of two basis-coordinate elements, bilinear in ``_prod``."""
     if x.is_zero() or y.is_zero():
         if x.bidegree is not None and y.bidegree is not None:
             return LieElement.zero((x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1]))
         return LieElement.zero()
     bd = (x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1])
-    (px, cx), (py, cy) = _expansion(x), _expansion(y)
-    words, groups, rows = _lyndon_block(*bd)
-    residual = [0] * len(words)
-    for j, c in _commutator_on(px, x.bidegree, py, y.bidegree, groups).items():
-        residual[j] = c
-    scale = cx * cy
     out: dict[str, int] = {}
-    for i, row in enumerate(rows):
-        c = residual[i]
-        if c:
-            out[words[i]] = scale * c
-            for j, e in row:
-                residual[j] -= c * e
+    for u, cu in x.coeffs.items():
+        for v, cv in y.coeffs.items():
+            _add_product(out, u, v, cu * cv)
     return LieElement._make(bd, out)
 
 
@@ -494,7 +461,7 @@ def normalize(expr: ExprLike) -> LieElement:
     """The unique Lyndon-basis representation of a homogeneous expression.
 
     Each tree is folded through :func:`bracket` from the leaves up, so the
-    Lyndon-block solve is the only one.  Raises :class:`BidegreeError` when
+    Lyndon rewriting is the only path.  Raises :class:`BidegreeError` when
     the expression mixes bidegrees.
     """
     expr = as_expr(expr)
@@ -608,7 +575,7 @@ class _Parser:
         tok = self.tokens[self.i]
         if tok in LETTERS:
             self.i += 1
-            return BracketExpr.letter(tok), 0
+            return BracketExpr._make({Leaf(tok): 1}), 0
         if tok != "[":
             self.error(f"expected a letter or '[', got {tok!r}")
         opened = self.i

@@ -164,9 +164,9 @@ def _lyndon_key(word: str) -> str | None:
     """The first copy of ``word`` seen if it is Lyndon, else None.
 
     Memoized for the letter columns: the words they reach are the
-    letter-extended terms of cached ``_tree_poly`` dicts, which bound the
-    cache, and a word is met from many columns of a slice, which then
-    share one string for it as a key.
+    letter-extended terms of the ``_tree_poly`` dicts they walk, which
+    bound the cache, and a word is met from many columns of a slice, which
+    then share one string for it as a key.
     """
     return word if is_lyndon(word) else None
 
@@ -179,12 +179,14 @@ def _letter_column(word: str, letter: str) -> dict[str, int]:
     Lyndon word of weight >= 2 starts with a and ends with b, so one term
     of Px - xP alone reaches the Lyndon words: P(u) at z = ub when x is b,
     and -P(u) at z = au when x is a.  The column walks the support of the
-    cached ``_tree_poly`` dict and tests each extended word with
-    ``_lyndon_key``: its work is bounded by that expansion, whatever the
-    size of the bidegree, and no word list is enumerated.  The cache is
-    keyed by the domain words whose ``_tree_poly`` dicts are cached
-    already, and each value has at most dim L_{k,l} entries, against the
-    thousands of the dict it reads.  Shared: read it, never write to it.
+    ``_tree_poly`` dict and tests each extended word with ``_lyndon_key``:
+    its work is bounded by that expansion, whatever the size of the
+    bidegree, and no word list is enumerated.  ``bracket``, and so
+    ``pair_matrix``, expands nothing, so the column builds the dicts it
+    walks itself.  The cache is keyed by the words of the checked
+    certificates, and each value has at most dim L_{k,l} entries, against
+    the thousands of the dict it reads.  Shared: read it, never write to
+    it.
     """
     poly = _tree_poly(lyndon_bracket(word))
     if letter == "b":
@@ -208,10 +210,10 @@ def verify_certificate(cert: IdentityCertificate) -> bool:
     triangular (Reutenauer, *Free Lie Algebras*, Ch. 4-5).  Those
     coefficients are summed from ``_letter_column``, which reads the
     associative expansions of the basis words, tests words with
-    ``is_lyndon`` and solves nothing.  So the check shares only
-    ``_tree_poly`` with the Lyndon-block solve that computed the kernel
-    vectors, and does not depend on ``lyndon_words`` listing a bidegree
-    in full.
+    ``is_lyndon`` and solves nothing.  So the check shares no code with
+    the Lyndon rewriting (``algebra._prod``) that computed the kernel
+    vectors, which expands nothing, and does not depend on
+    ``lyndon_words`` listing a bidegree in full.
     """
     _check_certificate_shape(cert)
     image: dict[str, int] = {}

@@ -55,8 +55,8 @@ BracketTree = Leaf | Node
 def _check_word(word: str) -> None:
     if not word:
         raise ValueError("word must be nonempty")
-    bad = set(word) - set(LETTERS)
-    if bad:
+    if word.count("a") + word.count("b") != len(word):
+        bad = set(word) - set(LETTERS)
         raise ValueError(f"word may only use letters 'a' and 'b', got {sorted(bad)!r}")
 
 
@@ -69,10 +69,22 @@ def is_lyndon(word: str) -> bool:
     """True iff the word is strictly smaller than all of its proper rotations.
 
     The comparison is strict, so periodic words such as ``abab`` are
-    rejected.  Single letters are Lyndon.
+    rejected.  Single letters are Lyndon.  One pass of Duval's algorithm:
+    while word[:j] is a power of a Lyndon word of length j - k followed by
+    a prefix of it, ``k`` tracks the matching position; a smaller letter
+    ends the scan, and the word is Lyndon exactly when the scan reaches the
+    end with a period of the whole length (k = 0).
     """
     _check_word(word)
-    return all(word < word[i:] + word[:i] for i in range(1, len(word)))
+    k = 0
+    for j in range(1, len(word)):
+        if word[k] < word[j]:
+            k = 0
+        elif word[k] == word[j]:
+            k += 1
+        else:
+            return False
+    return k == 0
 
 
 def all_words(k: int, l: int) -> tuple[str, ...]:

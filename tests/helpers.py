@@ -3,8 +3,11 @@
 The expanders here are written independently of the package internals so
 that normalization is checked against a second implementation, not against
 itself.  ``reference_normalize`` and ``reference_bracket`` solve over every
-word of the bidegree, with a residual check, where the package solves on
-the Lyndon words only; they share nothing with it but the Lyndon brackets.
+word of the bidegree, with a residual check, where the package rewrites
+products of Lyndon words; they share nothing with it but the Lyndon
+brackets.  ``block_bracket`` is the package's former bracket, the solve on
+the unit triangular Lyndon x Lyndon block of each bidegree (``_lyndon_block``
+and its helpers, moved here unchanged), the reference for ``algebra._prod``.
 ``reference_smith_invariants`` is a direct Smith pivot search, the witness
 for saturated kernels and trivial cokernels now that the package reads
 surjectivity off its echelon pivots, and ``reference_parse_expr`` the
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from typing import Mapping
 
 from liering import zlinalg
 from liering.algebra import (
@@ -28,12 +32,21 @@ from liering.algebra import (
     LieElement,
     _accumulate,
     _commutator,
-    _element_poly,
+    _tree_poly,
     basis_expansion,
     left_normed,
 )
 from liering.kernels import IdentityCertificate, _check_certificate_shape
-from liering.words import LETTERS, Leaf, Node, all_words, lyndon_bracket, lyndon_words
+from liering.words import (
+    LETTERS,
+    Leaf,
+    Node,
+    all_words,
+    lyndon_bracket,
+    lyndon_words,
+    standard_factorization,
+)
+from liering.words import bidegree as word_bidegree
 from liering.zlinalg import Echelon, IntMatrix, _hnf_pass, canonical_lattice
 
 
@@ -123,6 +136,113 @@ def reference_bracket(x: LieElement, y: LieElement) -> LieElement:
             return LieElement.zero((x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1]))
         return LieElement.zero()
     return reference_normalize(basis_expansion(x).bracket(basis_expansion(y)))
+
+
+# ---------------------------------------------------------------------------
+# the Lyndon-block solve
+
+
+def _element_poly(x: LieElement) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for word, c in x.coeffs.items():
+        _accumulate(out, _tree_poly(lyndon_bracket(word)), c)
+    return out
+
+
+def _expansion(x: LieElement) -> tuple[Mapping[str, int], int]:
+    """(word dict, scale) with scale * dict the associative expansion of x.
+
+    A one-term element hands out its shared ``_tree_poly`` dict unscaled,
+    so nothing is copied; read it, never write to it.
+    """
+    if len(x.coeffs) == 1:
+        ((word, c),) = x.coeffs.items()
+        return _tree_poly(lyndon_bracket(word)), c
+    return _element_poly(x), 1
+
+
+def _prefix_groups(words: tuple[str, ...]) -> dict[tuple[int, int], tuple]:
+    """(prefix length, a's in the prefix) -> the (index, word) pairs it fits."""
+    groups: dict[tuple[int, int], list[tuple[int, str]]] = {}
+    for j, z in enumerate(words):
+        a_count = 0
+        for n in range(1, len(z)):
+            a_count += z[n - 1] == "a"
+            groups.setdefault((n, a_count), []).append((j, z))
+    return {key: tuple(pairs) for key, pairs in groups.items()}
+
+
+def _commutator_on(p: Mapping[str, int], p_bd: tuple[int, int], q: Mapping[str, int],
+                   q_bd: tuple[int, int], groups) -> dict[int, int]:
+    """Coefficients of pq - qp on the words of ``groups``, by word index.
+
+    p and q are homogeneous of bidegrees p_bd and q_bd, so a word z can meet
+    xy (x, y one of p, q) only if its prefix of length |x| has x's bidegree:
+    the coefficient is x(z[:|x|]) * y(z[|x|:]), and other words are skipped.
+    """
+    out: dict[int, int] = {}
+    for x, x_bd, y, sign in ((p, p_bd, q, 1), (q, q_bd, p, -1)):
+        n = x_bd[0] + x_bd[1]
+        xg, yg = x.get, y.get
+        for j, z in groups.get((n, x_bd[0]), ()):
+            c = xg(z[:n])
+            if c:
+                c *= yg(z[n:], 0)
+                if c:
+                    out[j] = out.get(j, 0) + sign * c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lyndon_block(k: int, l: int):
+    """The Lyndon x Lyndon block of the basis expansion, for weight >= 2.
+
+    Returns (Lyndon words, their prefix groups, rows): row i lists the pairs
+    (j, <[w_i], w_j>) with j > i and a nonzero entry.  Each row is read off
+    the standard factorization [w] = [[u], [v]] and the cached expansions of
+    u and v, never from an expansion at (k, l) itself.  The row must lead
+    with 1 at w_i; anything else means the triangular structure is broken.
+    """
+    words = lyndon_words(k, l)
+    groups = _prefix_groups(words)
+    rows = []
+    for i, w in enumerate(words):
+        u, v = standard_factorization(w)
+        row = _commutator_on(_tree_poly(lyndon_bracket(u)), word_bidegree(u),
+                             _tree_poly(lyndon_bracket(v)), word_bidegree(v), groups)
+        entries = sorted((j, e) for j, e in row.items() if e)
+        if not entries or entries[0] != (i, 1):
+            raise InconsistencyError(f"Lyndon block is not unit triangular at {w!r}")
+        rows.append(tuple(entries[1:]))
+    return words, groups, tuple(rows)
+
+
+def block_bracket(x: LieElement, y: LieElement) -> LieElement:
+    """Normalized bracket of two basis-coordinate elements.
+
+    [x, y] is a Lie polynomial, so its coefficients on the Lyndon words of
+    its bidegree determine it: they are back-substituted on the Lyndon block.
+    This was ``algebra.bracket`` before the Lyndon rewriting replaced it.
+    """
+    if x.is_zero() or y.is_zero():
+        if x.bidegree is not None and y.bidegree is not None:
+            return LieElement.zero((x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1]))
+        return LieElement.zero()
+    bd = (x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1])
+    (px, cx), (py, cy) = _expansion(x), _expansion(y)
+    words, groups, rows = _lyndon_block(*bd)
+    residual = [0] * len(words)
+    for j, c in _commutator_on(px, x.bidegree, py, y.bidegree, groups).items():
+        residual[j] = c
+    scale = cx * cy
+    out: dict[str, int] = {}
+    for i, row in enumerate(rows):
+        c = residual[i]
+        if c:
+            out[words[i]] = scale * c
+            for j, e in row:
+                residual[j] -= c * e
+    return LieElement._make(bd, out)
 
 
 def random_bidegree(rng: random.Random, max_weight: int, min_weight: int = 1) -> tuple[int, int]:

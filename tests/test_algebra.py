@@ -1,10 +1,14 @@
 """Bracket expressions, associative expansion, and basis normalization."""
 
 import random
+import sys
+import time
 
 import pytest
 
+import helpers
 from helpers import (
+    block_bracket,
     brute_expand_expr,
     brute_expand_tree,
     random_bidegree,
@@ -32,8 +36,7 @@ from liering.algebra import (
     normalize,
     parse_expr,
 )
-from liering.dims import lie_dim
-from liering.words import Leaf, Node, bracket_string, lyndon_bracket, lyndon_words
+from liering.words import Leaf, Node, bidegree, bracket_string, lyndon_bracket, lyndon_words
 
 
 def test_assoc_expand_examples():
@@ -84,8 +87,9 @@ def test_normalize_matches_the_full_vocabulary_reference():
 
 
 def test_tree_poly_cache_holds_only_lyndon_brackets():
-    # Folding through bracket expands Lyndon brackets only, never an input
-    # tree, so the cache stays within the Lyndon words of weight <= 10.
+    # Folding through bracket rewrites products of Lyndon words and expands
+    # nothing, neither an input tree nor a Lyndon bracket: the cache stays
+    # empty, not merely within the Lyndon words of weight <= 10.
     rng = random.Random(4406)
     lyndon_trees = {lyndon_bracket(w) for n in range(1, 11) for k in range(n + 1)
                     for w in lyndon_words(k, n - k)}
@@ -98,7 +102,75 @@ def test_tree_poly_cache_holds_only_lyndon_brackets():
     algebra._tree_poly.cache_clear()
     for expr in exprs:
         normalize(expr)
-    assert algebra._tree_poly.cache_info().currsize <= sum(lie_dim(n) for n in range(1, 11))
+    assert algebra._tree_poly.cache_info().currsize == 0
+
+
+def test_prod_matches_the_block_solve_up_to_weight_12():
+    # Every product of Lyndon words u < v of total weight <= 12, rewritten,
+    # against the back-substitution on the Lyndon block it replaced; and
+    # bracket's signs for v < u and u = v.
+    words = [w for n in range(1, 12) for k in range(n + 1) for w in lyndon_words(k, n - k)]
+    pairs = 0
+    for u in words:
+        x = LieElement(bidegree(u), {u: 1})
+        for v in words:
+            if len(u) + len(v) > 12:
+                continue
+            y = LieElement(bidegree(v), {v: 1})
+            if u < v:
+                assert algebra._prod(u, v) == block_bracket(x, y).coeffs, (u, v)
+                pairs += 1
+            assert bracket(x, y) == block_bracket(x, y), (u, v)
+    assert pairs == 1694
+
+
+def test_normalize_of_random_trees_matches_the_reference():
+    # Plain random trees, zero subtrees such as [a,a] included, and trees
+    # drawn nonzero, of weight up to 12.
+    rng = random.Random(4407)
+    for i in range(400):
+        k, l = random_bidegree(rng, 12, min_weight=2)
+        draw = random_tree if i % 2 or not (k and l) else helpers.random_nonzero_tree
+        expr = rng.choice((-2, -1, 1, 3)) * BracketExpr.from_tree(draw(rng, k, l))
+        _assert_matches_reference(expr)
+
+
+def test_bracket_at_the_weight_limit_within_the_default_recursion_limit():
+    # [[a^127 b^128], b] has weight 256: the rewriting recurses about once
+    # per letter of a^127 b^128, from a cold memo.  The small cases of the
+    # same shape are checked against the full-vocabulary reference.
+    assert sys.getrecursionlimit() <= 1000
+    algebra._prod.cache_clear()
+    algebra._factor.cache_clear()
+    start = time.perf_counter()
+    image = bracket_with_letter(LieElement((127, 128), {"a" * 127 + "b" * 128: 1}), "b")
+    assert time.perf_counter() - start < 10
+    assert image.bidegree == (127, 129) and len(image.coeffs) == 127
+    assert LieElement((127, 129), image.coeffs) == image  # checks every word is Lyndon
+    for i in range(1, 5):
+        x = LieElement((i, i + 1), {"a" * i + "b" * (i + 1): 1})
+        assert bracket_with_letter(x, "b") == reference_bracket(x, LieElement((0, 1), {"b": 1}))
+
+
+def test_bracket_expr_constructor_checks_and_internal_results_drop_zeros():
+    with pytest.raises(TypeError):
+        BracketExpr({"ab": 1})
+    with pytest.raises(TypeError):
+        BracketExpr({Leaf("a"): 1, (Leaf("a"), Leaf("b")): 2})
+    with pytest.raises(TypeError):
+        BracketExpr.from_tree("ab")
+    with pytest.raises(ValueError):
+        BracketExpr.letter("c")
+    ab = Node(Leaf("a"), Leaf("b"))
+    assert BracketExpr({Leaf("a"): 0, ab: 2, Leaf("b"): 0}).terms == {ab: 2}
+    assert BracketExpr({Leaf("a"): 0}).is_zero()
+    x = parse_expr("2*[a,b] - 3*[[a,b],b] + a")
+    for zero in (x - x, x + (-x), 0 * x, x * 0, BracketExpr().bracket(x), x.bracket(BracketExpr())):
+        assert zero.terms == {}
+    assert (x + x).terms == (2 * x).terms and all((x + x).terms.values())
+    assert x.bracket("b").terms == {Node(ab, Leaf("b")): 2,
+                                    Node(Node(ab, Leaf("b")), Leaf("b")): -3,
+                                    Node(Leaf("a"), Leaf("b")): 1}
 
 
 def test_bracket_examples():
@@ -167,14 +239,16 @@ def test_difference_with_itself_is_typed_zero():
 
 
 def test_cached_tree_polys_are_never_mutated():
-    # _accumulate writes into its first argument, so a cached _tree_poly dict
-    # handed to it as `out` would corrupt every later expansion.
+    # _accumulate writes into its first argument, so a cached _tree_poly or
+    # _prod dict handed to it as `out` would corrupt every later result.
     from liering import kernels
-    from liering.algebra import _lyndon_block, _tree_poly
+    from liering.algebra import _prod, _tree_poly
 
     trees = [lyndon_bracket(w) for n in range(1, 6) for k in range(n + 1)
              for w in lyndon_words(k, n - k)]
     snapshot = {tree: dict(_tree_poly(tree)) for tree in trees}
+    words = [w for n in range(1, 5) for k in range(n + 1) for w in lyndon_words(k, n - k)]
+    products = {(u, v): dict(_prod(u, v)) for u in words for v in words if u < v}
     elements = [
         LieElement((1, 0), {"a": 3}),
         LieElement((0, 1), {"b": -2}),
@@ -191,7 +265,7 @@ def test_cached_tree_polys_are_never_mutated():
     for k, l in ((1, 1), (2, 1), (2, 3), (3, 3)):
         kernels.pair_matrix.__wrapped__(k, l)
     for k, l in ((1, 1), (2, 2), (3, 2), (3, 3)):
-        _lyndon_block.__wrapped__(k, l)
+        helpers._lyndon_block.__wrapped__(k, l)
     for k, l in ((2, 2), (2, 4), (3, 3)):
         for cert in kernels.kernel_certificates(k, l):
             assert kernels.verify_certificate(cert)
@@ -199,6 +273,8 @@ def test_cached_tree_polys_are_never_mutated():
                 kernels.IdentityCertificate(k, l, 2 * cert.A, cert.B))
     for tree in trees:
         assert _tree_poly(tree) == snapshot[tree], tree
+    for (u, v), product in products.items():
+        assert _prod(u, v) == product, (u, v)
 
 
 def _random_element(rng, k, l):
@@ -254,16 +330,17 @@ def test_family_brackets_match_reference(monkeypatch):
 
 @pytest.mark.parametrize("bd", [(1, 1), (2, 3), (3, 3), (4, 2)])
 def test_lyndon_block_refuses_a_non_unit_leading_coefficient(monkeypatch, bd):
-    real = algebra._tree_poly
+    # The block solve is the test reference for the rewriting now.
+    real = helpers._tree_poly
 
     def doubled_lead(tree):
         poly = dict(real(tree))
         poly[min(poly)] *= 2
         return poly
 
-    monkeypatch.setattr(algebra, "_tree_poly", doubled_lead)
+    monkeypatch.setattr(helpers, "_tree_poly", doubled_lead)
     with pytest.raises(InconsistencyError, match="unit triangular"):
-        algebra._lyndon_block.__wrapped__(*bd)
+        helpers._lyndon_block.__wrapped__(*bd)
 
 
 def test_engel_examples():

@@ -184,6 +184,35 @@ def test_normalize_accepts_the_depth_limit(capsys):
 
 
 @pytest.mark.parametrize(
+    "expr, digest",
+    [
+        pytest.param("[" + ",".join("ab" * 9) + "]",
+                     "4119db78651ebedcff0622991aaa6e626721b59b2ba5f283e65769b02821c258",
+                     id="left-normed-abab-weight-18"),
+        pytest.param("[a" + ",b" * MAX_DEPTH + "]",
+                     "ada3e7ff99bb9b2eb3307f9ba42e60434193d4a2db785b84a085268cc4b24afe",
+                     id="left-normed-abbb-depth-limit"),
+    ],
+)
+def test_normalize_expands_nothing_and_enumerates_no_bidegree(capsys, monkeypatch, expr, digest):
+    # The digests are of the stdout before the rewriting, when the first
+    # input took about 10 s and 1 GB and the second about 0.5 s.  From cold
+    # memos, normalize builds no associative expansion and lists no words.
+    def no_enumeration(k, l):
+        raise AssertionError(f"enumerated the words of ({k}, {l})")
+
+    monkeypatch.setattr(words, "all_words", no_enumeration)
+    for cache in (algebra._tree_poly, algebra._prod, algebra._factor, words.lyndon_words):
+        cache.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normalize", expr)
+    assert time.perf_counter() - start < 3
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert algebra._tree_poly.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("kernel", "1", "1200"),

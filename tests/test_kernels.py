@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import (
+    block_bracket,
     count_fallbacks,
     reference_bracket,
     reference_echelon,
@@ -50,8 +51,8 @@ def test_pair_matrix_small_examples():
 
 
 def test_pair_matrix_matches_the_reference_bracket_up_to_weight_12():
-    # Each column of the Lyndon-block pair map against the full-vocabulary
-    # bracket with its residual check, entry for entry.
+    # Each column of the pair map against the full-vocabulary bracket with
+    # its residual check, entry for entry.
     letters = {"a": LieElement((1, 0), {"a": 1}), "b": LieElement((0, 1), {"b": 1})}
     for n in range(1, 13):
         for k in range(n + 1):
@@ -62,6 +63,24 @@ def test_pair_matrix_matches_the_reference_bracket_up_to_weight_12():
                 image = reference_bracket(LieElement(bd, {word: 1}), letters[letter])
                 expected = [image.coeffs.get(w, 0) for w in pm.codomain]
                 assert [row[col] for row in pm.matrix.entries] == expected, (k, l, word, letter)
+
+
+def test_pair_matrix_matches_the_block_solve_up_to_weight_14():
+    # Each column of the rewritten pair map against the back-substitution
+    # on the Lyndon block that computed it before, on every slice.
+    letters = {"a": LieElement((1, 0), {"a": 1}), "b": LieElement((0, 1), {"b": 1})}
+    columns = 0
+    for n in range(1, 15):
+        for k in range(n + 1):
+            l = n - k
+            pm = pair_matrix(k, l)
+            for col, (word, letter) in enumerate(pm.domain):
+                bd = (k - 1, l) if letter == "a" else (k, l - 1)
+                image = block_bracket(LieElement(bd, {word: 1}), letters[letter])
+                expected = [image.coeffs.get(w, 0) for w in pm.codomain]
+                assert [row[col] for row in pm.matrix.entries] == expected, (k, l, word, letter)
+                columns += 1
+    assert columns == 2754
 
 
 def test_pair_matrix_errors():

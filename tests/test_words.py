@@ -48,6 +48,24 @@ def test_is_lyndon_exhaustive_up_to_length_10():
             assert is_lyndon(word) == brute_lyndon(word)
 
 
+def test_one_pass_is_lyndon_matches_the_rotations_up_to_length_14():
+    # Every word of length <= 14 against the definition, then the input
+    # errors, and long words, where the rotations would copy 10^8 letters.
+    for n in range(1, 15):
+        for letters in itertools.product("ab", repeat=n):
+            word = "".join(letters)
+            assert is_lyndon(word) == brute_lyndon(word), word
+    with pytest.raises(ValueError, match="nonempty"):
+        is_lyndon("")
+    for bad in ("abc", "c", "aXb", "ab b", "ab\n"):
+        with pytest.raises(ValueError, match="may only use letters 'a' and 'b'"):
+            is_lyndon(bad)
+    with pytest.raises(ValueError, match=r"got \['c', 'd'\]"):
+        is_lyndon("adcb")
+    assert is_lyndon("a" * 5000 + "b" * 5000) and is_lyndon("a" * 4999 + "bab" + "b" * 4998)
+    assert not is_lyndon("ab" * 5000) and not is_lyndon("b" + "a" * 9999)
+
+
 @given(st.text(alphabet="ab", min_size=1, max_size=14))
 def test_is_lyndon_matches_brute_force(word):
     assert is_lyndon(word) == brute_lyndon(word)

@@ -29,7 +29,8 @@ slice would redo most of the work.
 of the folded children.  ``_tree_poly``, the cached expansion
 [x, y] = xy - yx of a tree in the free associative ring, serves only
 ``assoc_expand``, which applies it to an arbitrary expression for checks
-against the associative ring, and the certificate check in ``kernels``.
+against the associative ring, and the certificate check in ``kernels``,
+which reads it only for the standard factors of the words it checks.
 
 Every sum of word or tree dicts goes through ``_accumulate(out, terms,
 scale)``, which adds scale * terms into ``out`` in place, and every xy - yx

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable
 
 from .algebra import (
     InconsistencyError,
@@ -52,7 +53,7 @@ class IdentityCertificate:
     """A pair (A, B) claimed to satisfy [A,a] + [B,b] = 0.
 
     ``source`` records provenance ("computed", "family:<name>" or "user");
-    ``verified`` is only set by :func:`verify_certificate`.  The verdict
+    ``verified`` is only set by :func:`verify_certificates`.  The verdict
     depends only on the frozen fields, and ``dataclasses.replace`` starts
     the copy unverified.
     """
@@ -163,65 +164,129 @@ def _check_certificate_shape(cert: IdentityCertificate) -> None:
 def _lyndon_key(word: str) -> str | None:
     """The first copy of ``word`` seen if it is Lyndon, else None.
 
-    Memoized for the letter columns: the words they reach are the
-    letter-extended terms of the ``_tree_poly`` dicts they walk, which
-    bound the cache, and a word is met from many columns of a slice, which
-    then share one string for it as a key.
+    Memoized for the letter columns.  The words they test are w+u+b and
+    a+w+u, for w, u a pair of terms of the ``_tree_poly`` dicts of a
+    word's standard factors: words of the bidegree of [[word], letter] that
+    start with a and end with b, so the cache holds at most C(k+l-2, k-1)
+    words per bidegree (k, l) checked, and only those some walk reached.
+    A word is met from many columns and pairs of a slice, which then share
+    one string for it as a key.
     """
     return word if is_lyndon(word) else None
 
 
-@lru_cache(maxsize=None)
 def _letter_column(word: str, letter: str) -> dict[str, int]:
     """Coefficients of [[word], letter] on the Lyndon words of its bidegree.
 
     With P the associative expansion of [word], [[word], x] = Px - xP.  A
     Lyndon word of weight >= 2 starts with a and ends with b, so one term
-    of Px - xP alone reaches the Lyndon words: P(u) at z = ub when x is b,
-    and -P(u) at z = au when x is a.  The column walks the support of the
-    ``_tree_poly`` dict and tests each extended word with ``_lyndon_key``:
-    its work is bounded by that expansion, whatever the size of the
-    bidegree, and no word list is enumerated.  ``bracket``, and so
-    ``pair_matrix``, expands nothing, so the column builds the dicts it
-    walks itself.  The cache is keyed by the words of the checked
-    certificates, and each value has at most dim L_{k,l} entries, against
-    the thousands of the dict it reads.  Shared: read it, never write to
-    it.
+    of Px - xP alone reaches the Lyndon words: P(v) at z = vb when x is b,
+    and -P(v) at z = av when x is a.  P is never built: [word] = [[u], [v]]
+    for (u, v) the standard factorization, so P = P_u P_v - P_v P_u, and as
+    P_u and P_v are homogeneous, each term of P_u P_v is the one product
+    c_w c_t at the word wt.  The column walks the pairs of the cached
+    ``_tree_poly`` dicts of the two factors, only the left words that start
+    with a when x is b and only the right words that end with b when x is
+    a, and tests each extended word with ``_lyndon_key``.  Its work is
+    bounded by 2|P_u||P_v|, whatever the size of the bidegree, and no word
+    list is enumerated.  It is not cached: a batch builds each of its
+    columns once.
     """
-    poly = _tree_poly(lyndon_bracket(word))
-    if letter == "b":
-        terms = ((u + "b", c) for u, c in poly.items() if u[0] == "a")
-    else:
-        terms = (("a" + u, -c) for u, c in poly.items() if u[-1] == "b")
-    column = {}
-    for z, c in terms:
-        key = _lyndon_key(z)
-        if key is not None:
-            column[key] = c
+    if len(word) == 1:
+        return {} if word == letter else {"ab": 1 if letter == "b" else -1}
+    tree = lyndon_bracket(word)
+    left_poly, right_poly = _tree_poly(tree.left), _tree_poly(tree.right)
+    column: dict[str, int] = {}
+    for left, right, sign in ((left_poly, right_poly, 1), (right_poly, left_poly, -1)):
+        if letter == "b":
+            left = {w: c for w, c in left.items() if w[0] == "a"}
+            head, tail = "", "b"
+        else:
+            right = {t: c for t, c in right.items() if t[-1] == "b"}
+            head, tail, sign = "a", "", -sign
+        for w, cw in left.items():
+            # For a fixed w, t -> wt is injective, so no comprehension merges two terms.
+            prefix = head + w
+            hits = {key: ct for t, ct in right.items()
+                    if (key := _lyndon_key(prefix + t + tail)) is not None}
+            _accumulate(column, hits, sign * cw)
     return column
 
 
-def verify_certificate(cert: IdentityCertificate) -> bool:
-    """Re-check [A,a] + [B,b] = 0; record the verdict and return it.
+def _vanishes(certs: tuple[IdentityCertificate, ...], columns: dict) -> bool:
+    """Whether [A,a] + [B,b] is 0 for every certificate, by one packed sum.
 
+    Certificate t enters the column of (word, letter) as slot t of the
+    packed coefficient sum_t c_t 2^(W t), c_t its coefficient at that word
+    (a Kronecker substitution), so one ``_accumulate`` per column adds the
+    column into every image at once.  At a Lyndon word, slot t of the
+    packed image is certificate t's coefficient s_t, and |s_t| is at most
+    ||(A_t, B_t)||_1 times the largest column entry, which is below
+    2^(W-1) for W the bit length of the largest such product plus one.  A
+    sum sum_t s_t 2^(W t) with every |s_t| < 2^W is 0 only when every s_t
+    is: it is s_0 modulo 2^W, so s_0 = 0, and the rest is 2^W times a
+    shorter such sum.  So the packed image is empty exactly when every
+    image is.
+    """
+    entry = max((abs(c) for column in columns.values() for c in column.values()), default=0)
+    norm = max(sum(map(abs, cert.A.coeffs.values())) + sum(map(abs, cert.B.coeffs.values()))
+               for cert in certs)
+    width = (norm * entry).bit_length() + 1
+    parts = {"a": [cert.A.coeffs for cert in reversed(certs)],
+             "b": [cert.B.coeffs for cert in reversed(certs)]}
+    image: dict[str, int] = {}
+    for (word, letter), column in columns.items():
+        packed = 0
+        for coeffs in parts[letter]:
+            packed = (packed << width) + coeffs.get(word, 0)
+        if packed:
+            _accumulate(image, column, packed)
+    return not image
+
+
+def verify_certificates(certs: Iterable[IdentityCertificate]) -> tuple[bool, ...]:
+    """Re-check [A,a] + [B,b] = 0 for certificates of one bidegree; record each verdict.
+
+    Returns the verdicts in the order given; the empty batch returns ().
     [A,a] + [B,b] is a Lie polynomial, and a Lie polynomial is 0 exactly
     when its coefficients on the Lyndon words of its bidegree are 0,
     because the Lyndon x Lyndon block of the basis expansion is unit
     triangular (Reutenauer, *Free Lie Algebras*, Ch. 4-5).  Those
     coefficients are summed from ``_letter_column``, which reads the
-    associative expansions of the basis words, tests words with
-    ``is_lyndon`` and solves nothing.  So the check shares no code with
-    the Lyndon rewriting (``algebra._prod``) that computed the kernel
-    vectors, which expands nothing, and does not depend on
-    ``lyndon_words`` listing a bidegree in full.
+    associative expansions of the standard factors of the basis words,
+    tests words with ``is_lyndon`` and solves nothing.  So the check
+    shares no code with the Lyndon rewriting (``algebra._prod``) that
+    computed the kernel vectors, which expands nothing, and does not depend
+    on ``lyndon_words`` listing a bidegree in full.
+
+    Each (word, letter) column of the batch is built once, and ``_vanishes``
+    adds it into the images of all the certificates in one packed pass.
+    When some image is not 0, each certificate is checked alone on the
+    same columns, so each gets its own verdict.
     """
-    _check_certificate_shape(cert)
-    image: dict[str, int] = {}
-    for part, letter in ((cert.A, "a"), (cert.B, "b")):
-        for word, c in part.coeffs.items():
-            _accumulate(image, _letter_column(word, letter), c)
-    object.__setattr__(cert, "verified", not image)
-    return cert.verified
+    certs = tuple(certs)
+    for cert in certs:
+        _check_certificate_shape(cert)
+    if len({(cert.k, cert.l) for cert in certs}) > 1:
+        raise ValueError("a batch of certificates must share one bidegree")
+    keys = dict.fromkeys((word, letter) for cert in certs
+                         for part, letter in ((cert.A, "a"), (cert.B, "b")) for word in part.coeffs)
+    columns = {key: _letter_column(*key) for key in keys}
+    if not certs or _vanishes(certs, columns):
+        verdicts = (True,) * len(certs)
+    else:
+        verdicts = tuple(_vanishes((cert,), columns) for cert in certs)
+    for cert, verdict in zip(certs, verdicts):
+        object.__setattr__(cert, "verified", verdict)
+    return verdicts
+
+
+def verify_certificate(cert: IdentityCertificate) -> bool:
+    """Re-check [A,a] + [B,b] = 0; record the verdict and return it.
+
+    The batch of one of :func:`verify_certificates`.
+    """
+    return verify_certificates((cert,))[0]
 
 
 def certificate_vector(cert: IdentityCertificate) -> tuple[int, ...]:
@@ -242,26 +307,24 @@ def _element_from_slice(bd: tuple[int, int], words: tuple[str, ...], coords) -> 
 
 @lru_cache(maxsize=None)
 def kernel_certificates(k: int, l: int) -> tuple[IdentityCertificate, ...]:
-    """One verified certificate per canonical kernel basis vector."""
+    """One verified certificate per canonical kernel basis vector, checked as one batch."""
     lattice = kernel_lattice(k, l)
     dom_a = _slice_basis(k - 1, l)
     dom_b = _slice_basis(k, l - 1)
     split = len(dom_a)
-    certificates = []
-    for vector in lattice.basis:
-        cert = IdentityCertificate(
+    certificates = tuple(
+        IdentityCertificate(
             k,
             l,
             _element_from_slice((k - 1, l), dom_a, vector[:split]),
             _element_from_slice((k, l - 1), dom_b, vector[split:]),
             source="computed",
         )
-        if not verify_certificate(cert):
-            raise InconsistencyError(
-                f"kernel vector of bidegree ({k}, {l}) failed re-verification"
-            )
-        certificates.append(cert)
-    return tuple(certificates)
+        for vector in lattice.basis
+    )
+    if not all(verify_certificates(certificates)):
+        raise InconsistencyError(f"kernel vector of bidegree ({k}, {l}) failed re-verification")
+    return certificates
 
 
 def check_surjective(k: int, l: int) -> SurjectivityReport:

@@ -39,9 +39,8 @@ LOW, HIGH = -3, 3
 # the walk over the certificate, which (dim + 4)**3 also covers.  On the
 # (3, 3) certificate of i33 one step took 0.4-1.0 us over dims 2 to 120
 # (CPython 3.11 on a shared 2-core VM, twice that under load), so the
-# limit is 4-20 s of trials, less than the 24 s of ``kernel 9 9
-# --certify`` on the balanced frontier; a larger certificate costs more
-# a step.
+# limit is 4-20 s of trials, about the 16 s of ``kernel 9 9 --certify``
+# on the balanced frontier; a larger certificate costs more a step.
 # The default of 50 trials at dim 4 is 25600.
 MAX_WORK = 10**7
 

@@ -16,6 +16,8 @@ character-walking parser the package replaced by one token list.
 the unit-pivot pass, and ``reference_verify_certificate`` the check of a
 certificate on the full associative expansion of [A,a] + [B,b], which the
 package replaced by a check on the Lyndon coefficients.
+``reference_letter_column`` reads those coefficients off the full expansion
+of the word, where the package walks the pairs of its standard factors.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from liering.words import (
     Leaf,
     Node,
     all_words,
+    is_lyndon,
     lyndon_bracket,
     lyndon_words,
     standard_factorization,
@@ -385,6 +388,20 @@ def count_fallbacks(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(zlinalg, "_hnf_pass", counted)
     return calls
+
+
+def reference_letter_column(word: str, letter: str) -> dict[str, int]:
+    """Lyndon coefficients of [[word], letter] off the full expansion P of [word].
+
+    The package's former ``kernels._letter_column``: P(u) at ub for the
+    letter b and -P(u) at au for a, kept where the extended word is Lyndon.
+    """
+    poly = _tree_poly(lyndon_bracket(word))
+    if letter == "b":
+        terms = ((u + "b", c) for u, c in poly.items() if u[0] == "a")
+    else:
+        terms = (("a" + u, -c) for u, c in poly.items() if u[-1] == "b")
+    return {z: c for z, c in terms if is_lyndon(z)}
 
 
 def reference_verify_certificate(cert: IdentityCertificate) -> bool:

@@ -212,6 +212,32 @@ def test_normalize_expands_nothing_and_enumerates_no_bidegree(capsys, monkeypatc
     assert algebra._tree_poly.cache_info().currsize == 0
 
 
+def test_kernel_8_8_certify_expands_no_word_whose_column_it_takes(capsys, monkeypatch):
+    # The digest is of the stdout before the certificate check walked the
+    # standard factors of each word, when it expanded the word itself.  Now
+    # every tree the check expands is lighter than the word of its column.
+    columns, heavy = [], []
+    real_column, real_tree_poly = kernels._letter_column, kernels._tree_poly
+
+    def column(word, letter):
+        columns.append(word)
+        return real_column(word, letter)
+
+    def tree_poly(tree):
+        if sum(words.tree_bidegree(tree)) >= len(columns[-1]):
+            heavy.append((columns[-1], words.bracket_string(tree)))
+        return real_tree_poly(tree)
+
+    monkeypatch.setattr(kernels, "_letter_column", column)
+    monkeypatch.setattr(kernels, "_tree_poly", tree_poly)
+    kernels.kernel_certificates.cache_clear()
+    code, out, err = run(capsys, "kernel", "8", "8", "--certify")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "3083ffb91bf39b9a9ead2c1cb4aa9fe7f1133e34f24a08a37de656c68ee7cf91")
+    assert len(columns) == len(set(columns)) > 0 and heavy == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -272,8 +298,11 @@ def test_verify_refuses_the_weight_before_reading_a_word(capsys, tmp_path, monke
     ],
 )
 def test_a_failed_internal_verification_exits_1(capsys, monkeypatch, module, argv):
+    # kernel_certificates checks its slice as one batch, a family its member alone.
+    name, failing = {kernels: ("verify_certificates", lambda certs: (False,) * len(certs)),
+                     families: ("verify_certificate", lambda cert: False)}[module]
     kernels.kernel_certificates.cache_clear()
-    monkeypatch.setattr(module, "verify_certificate", lambda cert: False)
+    monkeypatch.setattr(module, name, failing)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -10,6 +10,7 @@ from helpers import (
     count_fallbacks,
     reference_bracket,
     reference_echelon,
+    reference_letter_column,
     reference_smith_invariants,
     reference_verify_certificate,
 )
@@ -31,6 +32,7 @@ from liering.kernels import (
     pair_matrix,
     pair_rank,
     verify_certificate,
+    verify_certificates,
 )
 from liering.zlinalg import Echelon, canonical_lattice, echelon, lattice_equal
 
@@ -117,12 +119,16 @@ def test_kernel_certificates_small():
     assert len(kernel_certificates(3, 3)) == 1
 
 
+def _moved(cert: IdentityCertificate, word: str, letter: str) -> IdentityCertificate:
+    """The certificate with the domain basis vector (word, letter) added."""
+    part, bd = ("A", (cert.k - 1, cert.l)) if letter == "a" else ("B", (cert.k, cert.l - 1))
+    return dataclasses.replace(cert, **{part: getattr(cert, part) + LieElement(bd, {word: 1})})
+
+
 def _corrupted(cert: IdentityCertificate) -> IdentityCertificate | None:
     """The certificate with one domain basis vector added, off the kernel."""
     for word, letter in pair_matrix(cert.k, cert.l).domain:
-        part = "A" if letter == "a" else "B"
-        bd = (cert.k - 1, cert.l) if part == "A" else (cert.k, cert.l - 1)
-        bad = dataclasses.replace(cert, **{part: getattr(cert, part) + LieElement(bd, {word: 1})})
+        bad = _moved(cert, word, letter)
         if not pair_image(bad.A, bad.B).is_zero():
             return bad
     return None
@@ -188,6 +194,78 @@ def test_verify_certificate_enumerates_no_bidegree(monkeypatch):
     monkeypatch.setattr(kernels, "lyndon_words", no_enumeration)
     assert verify_certificate(good) is True
     assert verify_certificate(thin) is reference_verify_certificate(thin) is False
+
+
+def test_letter_column_matches_the_full_expansion_up_to_weight_13():
+    # The walk over the pairs of the standard factors' expansions against the
+    # column read off the expansion of the word itself, letters included.
+    columns = 0
+    for n in range(1, 14):
+        for k in range(n + 1):
+            for word in words.lyndon_words(k, n - k):
+                for letter in "ab":
+                    expected = reference_letter_column(word, letter)
+                    assert kernels._letter_column(word, letter) == expected, (word, letter)
+                    columns += 1
+    assert columns == 2 * sum(len(words.lyndon_words(k, n - k))
+                              for n in range(1, 14) for k in range(n + 1)) == 2754
+
+
+def _scaled(cert: IdentityCertificate, factor: int) -> IdentityCertificate:
+    return IdentityCertificate(cert.k, cert.l, factor * cert.A, factor * cert.B)
+
+
+def _assert_batch_matches_the_reference(batch: list[IdentityCertificate]) -> tuple[bool, ...]:
+    # Each flag starts at the opposite of the reference verdict, so the
+    # batch must record every verdict itself.
+    expected = tuple(reference_verify_certificate(cert) for cert in batch)
+    for cert, verdict in zip(batch, expected):
+        object.__setattr__(cert, "verified", not verdict)
+    assert verify_certificates(batch) == expected
+    assert tuple(cert.verified for cert in batch) == expected
+    return expected
+
+
+def test_verify_certificates_gives_each_certificate_its_reference_verdict():
+    # Copies, so that resetting their flags leaves the cached certificates alone.
+    valid = [dataclasses.replace(cert) for cert in kernel_certificates(6, 6)]
+    bad = _corrupted(valid[0])
+    # A corruption whose image has coefficients of both signs.
+    moved = (_moved(valid[1], word, letter) for word, letter in pair_matrix(6, 6).domain)
+    mixed = next(cert for cert in moved
+                 if {c > 0 for c in pair_image(cert.A, cert.B).coeffs.values()} == {True, False})
+    big = 2**200
+    batches = {
+        "all valid": valid,
+        "corrupted first": [bad] + valid,
+        "corrupted in the middle": valid[:4] + [bad] + valid[4:],
+        "corrupted last": valid + [bad],
+        "both signs": valid[:2] + [mixed] + valid[2:],
+        "scaled": [_scaled(cert, big if i % 2 else -big) for i, cert in enumerate(valid)],
+        "scaled, corrupted in the middle": [_scaled(cert, big if i % 2 else -big)
+                                           for i, cert in enumerate(valid[:4] + [bad] + valid[4:])],
+        "scaled neighbours of a corruption": [_scaled(valid[0], big), bad,
+                                              _scaled(valid[1], -big), mixed],
+        "one valid": valid[:1],
+        "one corrupted": [bad],
+    }
+    verdicts = {name: _assert_batch_matches_the_reference(batch) for name, batch in batches.items()}
+    assert verdicts["all valid"] == verdicts["scaled"] == (True,) * 9
+    assert verdicts["corrupted in the middle"] == (True,) * 4 + (False,) + (True,) * 5
+    assert verdicts["scaled neighbours of a corruption"] == (True, False, True, False)
+    assert verdicts["one corrupted"] == (False,)
+    # -2^j bad + 2^W bad packs to 0 when the slot width W is j: a width
+    # that does not grow with the coefficients passes this batch.
+    for j in range(1, 65):
+        assert _assert_batch_matches_the_reference([_scaled(bad, -2**j), bad]) == (False, False), j
+    # The empty batch has no verdict to give.
+    assert verify_certificates([]) == ()
+
+
+def test_verify_certificates_refuses_a_batch_of_two_bidegrees():
+    first, second = kernel_certificates(5, 5)[0], kernel_certificates(6, 6)[0]
+    with pytest.raises(ValueError, match="one bidegree"):
+        verify_certificates([first, second])
 
 
 def test_a_corrupted_pair_matrix_is_caught_by_verification(monkeypatch):

@@ -492,13 +492,17 @@ def engel(n: int) -> LieElement:
 # expr := ["+"|"-"] term { ("+"|"-") term }
 # term := ["-"] [INT "*"] atom
 # atom := "a" | "b" | "[" expr { "," expr }+ "]"
+# INT is ASCII digits.  Left-normed sugar [x1, ..., xn] is folded into
+# [[x1, ..., x_{n-1}], xn] slot by slot during the parse.
 
 # Deepest bracket tree parse_expr accepts: parsing and normalization take stack
 # frames per level, and much deeper input exhausts the default recursion limit.
 MAX_DEPTH = 256
 
 # A token is an integer or one non-space character; whitespace separates only.
-_TOKEN = re.compile(r"\d+|\S")
+_TOKEN = re.compile(r"[0-9]+|\S")
+# Bare-letter slots, only ever read: the fold copies them, and one-slot brackets are refused.
+_LETTER_TERMS = {letter: {Leaf(letter): 1} for letter in LETTERS}
 
 
 def check_weight(k: int, l: int) -> None:
@@ -514,85 +518,77 @@ def parse_expr(text: str) -> BracketExpr:
     ``[x,y,z]`` means ``[[x,y],z]``.  A parse error names the position
     where the offending token starts.
     """
-    parser = _Parser(text)
-    expr, _ = parser.parse_sum()
-    tok = parser.tokens[parser.i]
-    if tok is not None:
-        parser.error(f"unexpected trailing input {tok!r}")
-    return expr
+    tokens = _TOKEN.findall(text) + [""]  # "" marks the end of input
+    terms, _, i = _parse_sum(text, tokens, 0, 0)
+    if tokens[i]:
+        _refuse(text, i, f"unexpected trailing input {tokens[i]!r}")
+    return BracketExpr._make(terms)
 
 
-class _Parser:
-    """Recursive descent over the token list of ``text``, ended by None."""
+def _refuse(text: str, i: int, message: str):
+    # Token i starts where the i-th match does; one past the last is the end.
+    starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+    message = message if i < len(starts) - 1 else "unexpected end of input"
+    raise ValueError(f"parse error at position {starts[i]}: {message}")
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[str | None] = _TOKEN.findall(text) + [None]
-        self.i = 0
-        self.nesting = 0
 
-    def error(self, message: str, at: int | None = None):
-        # Token i starts where the i-th match does, or at the end for None.
-        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
-        raise ValueError(f"parse error at position {starts[self.i if at is None else at]}: {message}")
-
-    def accept(self, *wanted: str) -> str | None:
-        """Consume and return the current token if it is one of ``wanted``."""
-        tok = self.tokens[self.i]
-        if tok in wanted:
-            self.i += 1
-            return tok
-        return None
-
-    def require(self, wanted: str) -> None:
-        if self.accept(wanted) is None:
-            tok = self.tokens[self.i]
-            self.error("unexpected end of input" if tok is None else f"expected {wanted!r}, got {tok!r}")
-
-    # The parse methods return (expression, depth of its deepest tree).
-    def parse_sum(self) -> tuple[BracketExpr, int]:
-        sign = self.accept("+", "-")
-        expr, depth = self.parse_term()
-        if sign == "-":
-            expr = -expr
-        while (op := self.accept("+", "-")) is not None:
-            term, term_depth = self.parse_term()
-            expr = expr + term if op == "+" else expr - term
-            depth = max(depth, term_depth)
-        return expr, depth
-
-    def parse_term(self) -> tuple[BracketExpr, int]:
-        coeff = -1 if self.accept("-") else 1
-        tok = self.tokens[self.i]
-        if tok is not None and tok.isdecimal():
-            self.i += 1
-            coeff *= int(tok)
-            self.require("*")
-        atom, depth = self.parse_atom()
-        # Scaling by 1 would only copy the terms and hash every tree again.
-        return (atom if coeff == 1 else coeff * atom), depth
-
-    def parse_atom(self) -> tuple[BracketExpr, int]:
-        tok = self.tokens[self.i]
-        if tok in LETTERS:
-            self.i += 1
-            return BracketExpr._make({Leaf(tok): 1}), 0
-        if tok != "[":
-            self.error(f"expected a letter or '[', got {tok!r}")
-        opened = self.i
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            self.error(f"brackets nest deeper than {MAX_DEPTH} levels")
-        self.i += 1
-        slots = [self.parse_sum()]
-        while self.accept(","):
-            slots.append(self.parse_sum())
-        self.require("]")
-        self.nesting -= 1
-        if len(slots) < 2:
-            self.error("a bracket needs at least two slots", at=opened)
-        # [x1, ..., xn] puts x1 n-1 levels deep and xi (i >= 2) n-i+1.
-        depth = max(d + len(slots) - max(i, 1) for i, (_, d) in enumerate(slots))
-        if depth > MAX_DEPTH:
-            self.error(f"brackets nest deeper than {MAX_DEPTH} levels", at=opened)
-        return left_normed(*(x for x, _ in slots)), depth
+def _parse_sum(text: str, tokens: list[str], i: int, nesting: int) -> tuple[dict, int, int]:
+    """The sum at token i, ``nesting`` brackets deep: (terms, depth of its deepest tree, next i)."""
+    out: dict[BracketTree, int] = {}
+    depth, op = 0, tokens[i]
+    if op == "+" or op == "-":
+        i += 1
+    while True:
+        coeff = -1 if op == "-" else 1
+        if tokens[i] == "-":
+            coeff, i = -coeff, i + 1
+        tok = tokens[i]
+        if "0" <= tok < ":":  # an INT: no other token sorts between "0" and ":"
+            try:
+                coeff *= int(tok)
+            except ValueError:  # past the interpreter's limit on integer digits
+                _refuse(text, i, f"integer of {len(tok)} digits is too long")
+            if tokens[i + 1] != "*":
+                _refuse(text, i + 1, f"expected '*', got {tokens[i + 1]!r}")
+            i += 2
+            tok = tokens[i]
+        if tok == "a" or tok == "b":
+            atom, atom_depth, i = dict(_LETTER_TERMS[tok]), 0, i + 1
+        elif tok == "[":
+            if nesting == MAX_DEPTH:
+                _refuse(text, i, f"brackets nest deeper than {MAX_DEPTH} levels")
+            opened, slots = i, 0
+            while slots == 0 or tokens[i] == ",":
+                # A letter followed by "," or "]" (or the end, refused below all the
+                # same) is the whole slot; any other slot is a sum one level deeper.
+                tok = tokens[i + 1]
+                if (tok == "a" or tok == "b") and tokens[i + 2] in ",]":
+                    slot, slot_depth, i = _LETTER_TERMS[tok], 0, i + 2
+                else:
+                    slot, slot_depth, i = _parse_sum(text, tokens, i + 1, nesting + 1)
+                slots += 1
+                if slots == 1:
+                    atom, atom_depth = slot, slot_depth
+                # [x1, ..., xn] puts x1 n-1 levels deep and xi (i >= 2) n-i+1.  Past
+                # MAX_DEPTH the bracket is refused, and folding on could only blow up.
+                elif (atom_depth := max(atom_depth, slot_depth) + 1) <= MAX_DEPTH:
+                    if len(atom) == 1 and len(slot) == 1:
+                        ((s, cs),), ((t, ct),) = atom.items(), slot.items()
+                        atom = {Node(s, t): cs * ct}
+                    else:  # distinct (s, t) pairs give distinct Node(s, t) keys
+                        atom = {Node(s, t): cs * ct for s, cs in atom.items()
+                                for t, ct in slot.items()}
+            if tokens[i] != "]":
+                _refuse(text, i, f"expected ']', got {tokens[i]!r}")
+            i += 1
+            if slots < 2:
+                _refuse(text, opened, "a bracket needs at least two slots")
+            if atom_depth > MAX_DEPTH:
+                _refuse(text, opened, f"brackets nest deeper than {MAX_DEPTH} levels")
+        else:
+            _refuse(text, i, f"expected a letter or '[', got {tok!r}")
+        out = atom if coeff == 1 and not out else _accumulate(out, atom, coeff)
+        depth, op = max(depth, atom_depth), tokens[i]
+        if op != "+" and op != "-":
+            return out, depth, i
+        i += 1

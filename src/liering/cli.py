@@ -238,8 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse would read an expression's leading sign as an option: put it after "--".
+    expr = argv[1] if argv[:1] == ["normalize"] and len(argv) > 1 else ""
+    if expr.startswith("-") and expr != "-h" and not "--help".startswith(expr):
+        argv.insert(1, "--")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, InconsistencyError) as exc:

@@ -10,8 +10,9 @@ the unit triangular Lyndon x Lyndon block of each bidegree (``_lyndon_block``
 and its helpers, moved here unchanged), the reference for ``algebra._prod``.
 ``reference_smith_invariants`` is a direct Smith pivot search, the witness
 for saturated kernels and trivial cokernels now that the package reads
-surjectivity off its echelon pivots, and ``reference_parse_expr`` the
-character-walking parser the package replaced by one token list.
+surjectivity off its echelon pivots, and ``reference_parse_expr`` a
+character-walking parser of the grammar ``algebra.parse_expr`` reads from one
+token list, building every expression through ``left_normed``.
 ``reference_echelon`` is ``zlinalg.echelon`` by the dense HNF alone, without
 the unit-pivot pass, and ``reference_verify_certificate`` the check of a
 certificate on the full associative expansion of [A,a] + [B,b], which the
@@ -460,7 +461,7 @@ class _Parser:
     def parse_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
@@ -487,7 +488,7 @@ class _Parser:
             self.take()
             coeff = -1
         ch = self.peek()
-        if ch is not None and ch.isdigit():
+        if ch is not None and "0" <= ch <= "9":
             coeff *= self.parse_int()
             self.expect("*")
         atom, depth = self.parse_atom()

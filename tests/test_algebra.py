@@ -481,6 +481,50 @@ def test_parse_expr_error_names_the_offending_token():
         parse_expr("[a,b ")
     with pytest.raises(ValueError, match="position 1: a bracket needs at least two slots"):
         parse_expr(" [a] ")
+    # The end of input reads the same wherever it comes, and so does a
+    # coefficient past the interpreter's limit on integer digits.
+    for text, position in (("2*", 2), ("+", 1), ("", 0), ("[a,b] - ", 8), ("3", 1)):
+        with pytest.raises(ValueError, match=f"^parse error at position {position}: "
+                                             "unexpected end of input$"):
+            parse_expr(text)
+    with pytest.raises(ValueError, match="^parse error at position 2: "
+                                         "integer of 5000 digits is too long$"):
+        parse_expr("- " + "7" * 5000 + "*[a,b]")
+
+
+@pytest.mark.parametrize("text", ["\u0663*[a,b]", "[a,b] + \uff12*[a,b]", "\u00b2*a"])
+def test_parse_expr_reads_ascii_digits_only(text):
+    # str.isdigit accepts all of these, and int() the first two, but INT is ASCII.
+    for parse in (parse_expr, reference_parse_expr):
+        with pytest.raises(ValueError, match="parse error"):
+            parse(text)
+
+
+def test_parse_expr_builds_the_trees_itself(monkeypatch):
+    # Sugar, nesting, sums and zero coefficients are folded into tree dicts
+    # during the parse, with no expression built per slot or per atom.
+    rng = random.Random(13)
+    texts = ["[a,b,b,a,b]", "[[a,b],[a,[a,b]]]", "[a+b,b,a-2*b]", "3*[a,b] - 2*[[a,b],b] + [a,b]",
+             "0*[a,b]", "0*[a,b] + [a,b,b]", "[0*a,b] + 2*[a,b] - 2*[a,b]", "-[a,-b,2*[a,b]]",
+             "[" + ",".join("ab" * 9) + "]", "[a" + ",b" * MAX_DEPTH + "]",
+             "[" * MAX_DEPTH + "a" + ",b]" * MAX_DEPTH]
+    for _ in range(200):
+        k, l = random_bidegree(rng, 10)
+        text = " - ".join(f"{rng.randint(0, 3)}*{render(random_tree(rng, k, l))}"
+                          for render in (bracket_string, _left_normed_string))
+        texts.append(text)
+    expected = [reference_parse_expr(text) for text in texts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parser built an intermediate expression")
+
+    monkeypatch.setattr(algebra, "left_normed", refuse)
+    monkeypatch.setattr(algebra, "as_expr", refuse)
+    monkeypatch.setattr(BracketExpr, "bracket", refuse)
+    for text, want in zip(texts, expected):
+        got = parse_expr(text)
+        assert got == want, text
+        assert all(c for c in got.terms.values()), text
 
 
 def _left_normed_string(tree) -> str:

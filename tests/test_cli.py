@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,28 @@ def test_normalize_command(capsys):
 
     code, _, err = run(capsys, "normalize", "[a")
     assert code == 2 and "parse error" in err
+
+
+def test_normalize_takes_a_leading_sign_without_dashes(capsys):
+    for expr in ("-[a,b]", "-2*[a,b,b] + [[a,b],b]", "--a", "-3*a"):
+        code, out, err = run(capsys, "normalize", expr)
+        assert (code, err) == (0, "")
+        assert run(capsys, "normalize", "--", expr) == (0, out, "")
+    code, _, err = run(capsys, "normalize", "-[a")
+    assert code == 2 and err.startswith("error: parse error at position 3")
+    for flag in ("--help", "-h"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["normalize", flag])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: liering normalize")
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "liering", "normalize", "-[a,b]"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == {"bidegree": [1, 1], "terms": [["-1", "ab"]]}
 
 
 @pytest.mark.parametrize(

@@ -499,6 +499,11 @@ def engel(n: int) -> LieElement:
 # frames per level, and much deeper input exhausts the default recursion limit.
 MAX_DEPTH = 256
 
+# Most trees one bracket of sums may multiply out to, checked before each slot is
+# folded in: [a+b, ..., a+b] with 20 slots would build 2^20 trees (6.3 s, 316 MB),
+# while no test, golden command or benchmark input folds more than 4.
+MAX_PRODUCT_TERMS = 4096
+
 # A token is an integer or one non-space character; whitespace separates only.
 _TOKEN = re.compile(r"[0-9]+|\S")
 # Bare-letter slots, only ever read: the fold copies them, and one-slot brackets are refused.
@@ -561,7 +566,7 @@ def _parse_sum(text: str, tokens: list[str], i: int, nesting: int) -> tuple[dict
             while slots == 0 or tokens[i] == ",":
                 # A letter followed by "," or "]" (or the end, refused below all the
                 # same) is the whole slot; any other slot is a sum one level deeper.
-                tok = tokens[i + 1]
+                start, tok = i + 1, tokens[i + 1]
                 if (tok == "a" or tok == "b") and tokens[i + 2] in ",]":
                     slot, slot_depth, i = _LETTER_TERMS[tok], 0, i + 2
                 else:
@@ -575,6 +580,9 @@ def _parse_sum(text: str, tokens: list[str], i: int, nesting: int) -> tuple[dict
                     if len(atom) == 1 and len(slot) == 1:
                         ((s, cs),), ((t, ct),) = atom.items(), slot.items()
                         atom = {Node(s, t): cs * ct}
+                    elif len(atom) * len(slot) > MAX_PRODUCT_TERMS:
+                        _refuse(text, start, f"bracket multiplies out to {len(atom) * len(slot)}"
+                                f" trees, past the limit of {MAX_PRODUCT_TERMS}")
                     else:  # distinct (s, t) pairs give distinct Node(s, t) keys
                         atom = {Node(s, t): cs * ct for s, cs in atom.items()
                                 for t, ct in slot.items()}

@@ -6,6 +6,17 @@ certificate must evaluate to the zero matrix under every assignment, so a
 single nonzero evaluation disproves it; passing trials are supporting
 evidence only, never a proof, and the reports say so.
 
+A certificate is compiled once into a plan: its distinct subtrees numbered
+in post-order (a = 0, b = 1) as steps (left, right), and each sum a list of
+(node, coeff).  A trial keeps each d x d node value as entry rows and as
+row-packed integers, row i packed as sum_j x_ij 2^(S j); by linearity row i
+of [X, Y] packs to sum_j (x_ij Y_j - y_ij X_j), 2d products, and a sum adds
+packed rows.  S is fixed per trial from bounds on the entries (the leaves'
+largest, 2d |X| |Y| for [X, Y], sum |c| |X| for a sum), so every slot
+unpacks exactly.  Under a modulus, a step that later steps read is reduced
+once its bound reaches the modulus, its bound restarting at modulus - 1,
+and the sums at the end: reduction is a ring map, so residues are unchanged.
+
 All randomness is drawn from explicit seeds and every assignment records
 the seed that produced it, so counterexamples replay exactly.
 """
@@ -14,10 +25,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .algebra import LieElement, as_expr
 from .kernels import IdentityCertificate
-from .words import BracketTree, Leaf, lyndon_bracket
+from .words import Leaf, lyndon_bracket
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -35,12 +47,12 @@ class MatrixAssignment:
 LOW, HIGH = -3, 3
 
 # The most work oracle_check takes on, counted as trials * (dim + 4)**3: a
-# trial costs dim**3 steps a matrix product, and at small dim the sums and
-# the walk over the certificate, which (dim + 4)**3 also covers.  On the
-# (3, 3) certificate of i33 one step took 0.4-1.0 us over dims 2 to 120
-# (CPython 3.11 on a shared 2-core VM, twice that under load), so the
-# limit is 4-20 s of trials, about the 16 s of ``kernel 9 9 --certify``
-# on the balanced frontier; a larger certificate costs more a step.
+# commutator costs 2 dim**2 products of packed rows, and the + 4 covers the
+# sums and the walk over the plan at small dim.  On i33's (3, 3) certificate a
+# step took 0.6 us at dim 2 to 0.13 us at dim 120 (CPython 3.11, shared 2-core
+# VM), 1.3-6 s at the limit.  A heavier certificate costs more: one trial on
+# i2's of weight 256 took 4.5 s at dim 100 and 39 s at dim 211 modulo 101,
+# and exact, whose slots grow with the weight, 6.7 s at dim 20.
 # The default of 50 trials at dim 4 is 25600.
 MAX_WORK = 10**7
 
@@ -57,78 +69,79 @@ def random_assignment(dim: int, seed: int) -> MatrixAssignment:
     return MatrixAssignment(dim, draw(), draw(), seed=seed)
 
 
-def _zero(dim: int) -> list[list[int]]:
-    return [[0] * dim for _ in range(dim)]
-
-
 def _check_modulus(modulus: int | None) -> None:
     # Modulo 1 every matrix is zero, so a wrong certificate would pass.
     if modulus is not None and modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
 
 
-def _reduced(mat, modulus: int | None):
-    """The matrix with entries taken mod ``modulus``; unchanged for None."""
-    if modulus is None:
-        return mat
-    return [[v % modulus for v in row] for row in mat]
+def _plan(term_lists) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
+    """(steps, sums) for lists of (tree, coeff) pairs: node 2 + s is steps[s]."""
+    index = {Leaf("a"): 0, Leaf("b"): 1}
+    steps, sums = [], []
+    for terms in term_lists:
+        pairs = []
+        for tree, c in terms:
+            stack = [tree]  # post-order without recursion, however deep the tree
+            while stack:
+                node = stack[-1]
+                if node in index:
+                    stack.pop()
+                elif node.left in index and node.right in index:
+                    index[stack.pop()] = len(index)
+                    steps.append((index[node.left], index[node.right]))
+                else:
+                    stack += (node.right, node.left)
+            pairs.append((index[tree], c))
+        sums.append(pairs)
+    return steps, sums
 
 
-def _mul(x, y, dim: int):
-    out = _zero(dim)
-    for i in range(dim):
-        xi = x[i]
-        oi = out[i]
-        for k in range(dim):
-            c = xi[k]
-            if c:
-                yk = y[k]
-                for j in range(dim):
-                    oi[j] += c * yk[j]
-    return out
+def _evaluate(plan, leaves, modulus: int | None = None) -> list[Matrix]:
+    """The matrix of every sum of the plan, the first nodes taking the values ``leaves``."""
+    steps, sums = plan
+    dim = len(leaves[0])
+    inner = {n for step in steps for n in step if n >= len(leaves)}  # steps a later step reads
+
+    def bound(n: int) -> int:  # under a modulus, an inner node that may reach it is reduced
+        return modulus - 1 if modulus and n in inner and bounds[n] >= modulus else bounds[n]
+
+    bounds = [max(abs(v) for row in m for v in row) for m in leaves]
+    for left, right in steps:
+        bounds.append(2 * dim * bound(left) * bound(right))
+    top = max(bounds + [sum(abs(c) * bound(n) for n, c in pairs) for pairs in sums])
+    width = top.bit_length() + 1
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    shifts = range(0, width * dim, width)
+    offset = sum(half << s for s in shifts)  # makes every slot nonnegative
+
+    def unpack(value: int) -> list[int]:
+        value += offset
+        return [(value >> s & mask) - half for s in shifts]
+
+    rows = list(leaves)
+    packed = [[sum(v << s for v, s in zip(row, shifts)) for row in m] for m in leaves]
+    for n, (left, right) in enumerate(steps, len(leaves)):
+        x, y, xp, yp = rows[left], rows[right], packed[left], packed[right]
+        p = [sum(map(mul, xi, yp)) - sum(map(mul, yi, xp)) for xi, yi in zip(x, y)]
+        rows.append([unpack(v) for v in p] if n in inner else None)
+        if bound(n) < bounds[n]:  # reduce, then repack at the same width
+            rows[n] = [[v % modulus for v in row] for row in rows[n]]
+            p = [sum(v << s for v, s in zip(row, shifts)) for row in rows[n]]
+        packed.append(p)
+    return [tuple(tuple(v % modulus if modulus else v for v in unpack(r))
+                  for r in (sum(c * packed[n][i] for n, c in pairs) for i in range(dim)))
+            for pairs in sums]
 
 
-def _commutator(x, y, dim: int, modulus: int | None):
-    xy = _mul(x, y, dim)
-    yx = _mul(y, x, dim)
-    return _reduced([[xy[i][j] - yx[i][j] for j in range(dim)] for i in range(dim)], modulus)
-
-
-def _add_scaled(acc, mat, c: int, dim: int) -> None:
-    for i in range(dim):
-        ai = acc[i]
-        mi = mat[i]
-        for j in range(dim):
-            ai[j] += c * mi[j]
-
-
-def _eval_tree(tree: BracketTree, assignment: MatrixAssignment, modulus, cache):
-    cached = cache.get(tree)
-    if cached is not None:
-        return cached
-    if isinstance(tree, Leaf):
-        value = _reduced(assignment.a_matrix if tree.letter == "a" else assignment.b_matrix, modulus)
-    else:
-        left = _eval_tree(tree.left, assignment, modulus, cache)
-        right = _eval_tree(tree.right, assignment, modulus, cache)
-        value = _commutator(left, right, assignment.dim, modulus)
-    cache[tree] = value
-    return value
-
-
-def _sum_trees(terms, assignment: MatrixAssignment, modulus: int | None, cache: dict) -> Matrix:
-    """The sum of c * value(tree) over (tree, c) pairs, reduced once at the end."""
-    dim = assignment.dim
-    acc = _zero(dim)
-    for tree, c in terms:
-        _add_scaled(acc, _eval_tree(tree, assignment, modulus, cache), c, dim)
-    return tuple(tuple(row) for row in _reduced(acc, modulus))
+def _evaluate_terms(terms, assignment: MatrixAssignment, modulus: int | None) -> Matrix:
+    _check_modulus(modulus)
+    return _evaluate(_plan([terms]), [assignment.a_matrix, assignment.b_matrix], modulus)[0]
 
 
 def evaluate_expr(expr, assignment: MatrixAssignment, modulus: int | None = None) -> Matrix:
     """Evaluate a bracket expression to an exact integer matrix, mod ``modulus`` (>= 2) if given."""
-    _check_modulus(modulus)
-    return _sum_trees(as_expr(expr).terms.items(), assignment, modulus, {})
+    return _evaluate_terms(as_expr(expr).terms.items(), assignment, modulus)
 
 
 def _element_terms(x: LieElement):
@@ -137,25 +150,24 @@ def _element_terms(x: LieElement):
 
 def evaluate_element(x: LieElement, assignment: MatrixAssignment, modulus: int | None = None) -> Matrix:
     """Evaluate basis coordinates through the standard bracketing, mod ``modulus`` (>= 2) if given."""
-    _check_modulus(modulus)
-    return _sum_trees(_element_terms(x), assignment, modulus, {})
+    return _evaluate_terms(_element_terms(x), assignment, modulus)
+
+
+# [A, a] + [B, b] on the leaves a, b, A, B.
+_OUTER = ([(2, 0), (3, 1)], [[(4, 1), (5, 1)]])
+
+
+def _certificate_value(plan, assignment: MatrixAssignment, modulus: int | None) -> Matrix:
+    leaves = [assignment.a_matrix, assignment.b_matrix]
+    return _evaluate(_OUTER, leaves + _evaluate(plan, leaves, modulus), modulus)[0]
 
 
 def evaluate_certificate(cert: IdentityCertificate, assignment: MatrixAssignment,
                          modulus: int | None = None) -> Matrix:
     """The matrix value of [A, a] + [B, b] under the assignment, mod ``modulus`` (>= 2) if given."""
     _check_modulus(modulus)
-    dim = assignment.dim
-    cache: dict = {}  # A and B share their subtrees' values
-    value_a = _sum_trees(_element_terms(cert.A), assignment, modulus, cache)
-    value_b = _sum_trees(_element_terms(cert.B), assignment, modulus, cache)
-    out = _commutator(value_a, assignment.a_matrix, dim, modulus)
-    _add_scaled(out, _commutator(value_b, assignment.b_matrix, dim, modulus), 1, dim)
-    return tuple(tuple(row) for row in _reduced(out, modulus))
-
-
-def _is_zero_matrix(mat: Matrix) -> bool:
-    return all(v == 0 for row in mat for v in row)
+    plan = _plan([_element_terms(cert.A), _element_terms(cert.B)])
+    return _certificate_value(plan, assignment, modulus)
 
 
 @dataclass(frozen=True)
@@ -225,12 +237,11 @@ def oracle_check(cert: IdentityCertificate, trials: int = 50, dim: int = 4,
     note = "passing trials are evidence, not proof"
     if modulus:
         note += f"; evaluated modulo {modulus}, which can mask nonzero integer values"
-    failed_trial = None
-    counterexample = None
+    plan = _plan([_element_terms(cert.A), _element_terms(cert.B)])  # A and B share subtrees
+    failed_trial = counterexample = None
     for trial in range(trials):
         assignment = random_assignment(dim, _trial_seed(seed, trial))
-        value = evaluate_certificate(cert, assignment, modulus)
-        if not _is_zero_matrix(value):
+        if any(map(any, _certificate_value(plan, assignment, modulus))):
             failed_trial = trial
             counterexample = assignment
             break

@@ -109,8 +109,12 @@ def lyndon_words(k: int, l: int) -> tuple[str, ...]:
 
     This ordering is the canonical basis ordering used by every other
     module, so matrices and certificates are reproducible across runs.
+    Past one letter a Lyndon word is a...b (b...b is periodic; any other word has
+    a smaller rotation or suffix), so only the C(k+l-2, k-1) words a...b are tested.
     """
-    return tuple(w for w in all_words(k, l) if is_lyndon(w))
+    if k < 1 or l < 1 or k + l == 2:  # ab, a power of one letter, or refused
+        return tuple(w for w in all_words(k, l) if is_lyndon(w))
+    return tuple(w for w in ("a" + v + "b" for v in all_words(k - 1, l - 1)) if is_lyndon(w))
 
 
 def standard_factorization(word: str) -> tuple[str, str]:

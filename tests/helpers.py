@@ -19,6 +19,12 @@ certificate on the full associative expansion of [A,a] + [B,b], which the
 package replaced by a check on the Lyndon coefficients.
 ``reference_letter_column`` reads those coefficients off the full expansion
 of the word, where the package walks the pairs of its standard factors.
+``reference_evaluate_expr``, ``reference_evaluate_element``,
+``reference_evaluate_certificate`` and ``reference_oracle_check`` are the
+matrix oracle's former evaluation, moved here unchanged: a recursive walk
+over each tree with a value cache, two dense products a commutator and a
+reduction mod the modulus after every step, where the package runs a
+compiled plan on row-packed integers and reduces once.
 """
 
 from __future__ import annotations
@@ -36,10 +42,12 @@ from liering.algebra import (
     _accumulate,
     _commutator,
     _tree_poly,
+    as_expr,
     basis_expansion,
     left_normed,
 )
 from liering.kernels import IdentityCertificate, _check_certificate_shape
+from liering.oracle import MatrixAssignment, OracleReport, random_assignment
 from liering.words import (
     LETTERS,
     Leaf,
@@ -519,3 +527,113 @@ class _Parser:
                 self.error(f"brackets nest deeper than {MAX_DEPTH} levels")
             return left_normed(*(x for x, _ in slots)), depth
         self.error(f"expected a letter or '[', got {ch!r}")
+
+
+# ---------------------------------------------------------------------------
+# the matrix oracle's former evaluation
+
+
+def _zero(dim: int) -> list[list[int]]:
+    return [[0] * dim for _ in range(dim)]
+
+
+def _reduced(mat, modulus: int | None):
+    """The matrix with entries taken mod ``modulus``; unchanged for None."""
+    if modulus is None:
+        return mat
+    return [[v % modulus for v in row] for row in mat]
+
+
+def _mul(x, y, dim: int):
+    out = _zero(dim)
+    for i in range(dim):
+        xi = x[i]
+        oi = out[i]
+        for k in range(dim):
+            c = xi[k]
+            if c:
+                yk = y[k]
+                for j in range(dim):
+                    oi[j] += c * yk[j]
+    return out
+
+
+def _matrix_commutator(x, y, dim: int, modulus: int | None):
+    xy = _mul(x, y, dim)
+    yx = _mul(y, x, dim)
+    return _reduced([[xy[i][j] - yx[i][j] for j in range(dim)] for i in range(dim)], modulus)
+
+
+def _add_scaled(acc, mat, c: int, dim: int) -> None:
+    for i in range(dim):
+        ai = acc[i]
+        mi = mat[i]
+        for j in range(dim):
+            ai[j] += c * mi[j]
+
+
+def _eval_tree(tree, assignment: MatrixAssignment, modulus, cache):
+    cached = cache.get(tree)
+    if cached is not None:
+        return cached
+    if isinstance(tree, Leaf):
+        value = _reduced(assignment.a_matrix if tree.letter == "a" else assignment.b_matrix, modulus)
+    else:
+        left = _eval_tree(tree.left, assignment, modulus, cache)
+        right = _eval_tree(tree.right, assignment, modulus, cache)
+        value = _matrix_commutator(left, right, assignment.dim, modulus)
+    cache[tree] = value
+    return value
+
+
+def _sum_trees(terms, assignment: MatrixAssignment, modulus: int | None, cache: dict):
+    """The sum of c * value(tree) over (tree, c) pairs, reduced once at the end."""
+    dim = assignment.dim
+    acc = _zero(dim)
+    for tree, c in terms:
+        _add_scaled(acc, _eval_tree(tree, assignment, modulus, cache), c, dim)
+    return tuple(tuple(row) for row in _reduced(acc, modulus))
+
+
+def _element_terms(x: LieElement):
+    return ((lyndon_bracket(word), c) for word, c in x.coeffs.items())
+
+
+def reference_evaluate_expr(expr, assignment: MatrixAssignment, modulus: int | None = None):
+    return _sum_trees(as_expr(expr).terms.items(), assignment, modulus, {})
+
+
+def reference_evaluate_element(x: LieElement, assignment: MatrixAssignment,
+                               modulus: int | None = None):
+    return _sum_trees(_element_terms(x), assignment, modulus, {})
+
+
+def reference_evaluate_certificate(cert: IdentityCertificate, assignment: MatrixAssignment,
+                                   modulus: int | None = None):
+    dim = assignment.dim
+    cache: dict = {}
+    value_a = _sum_trees(_element_terms(cert.A), assignment, modulus, cache)
+    value_b = _sum_trees(_element_terms(cert.B), assignment, modulus, cache)
+    out = _matrix_commutator(value_a, assignment.a_matrix, dim, modulus)
+    _add_scaled(out, _matrix_commutator(value_b, assignment.b_matrix, dim, modulus), 1, dim)
+    return tuple(tuple(row) for row in _reduced(out, modulus))
+
+
+def reference_oracle_check(cert: IdentityCertificate, trials: int = 50, dim: int = 4,
+                           seed: int = 0, modulus: int | None = None) -> OracleReport:
+    """The report of ``oracle.oracle_check``, its trials run on the reference evaluation."""
+    note = "passing trials are evidence, not proof"
+    if modulus:
+        note += f"; evaluated modulo {modulus}, which can mask nonzero integer values"
+    failed_trial = counterexample = None
+    for trial in range(trials):
+        assignment = random_assignment(dim, (seed << 20) ^ trial)
+        value = reference_evaluate_certificate(cert, assignment, modulus)
+        if any(v for row in value for v in row):
+            failed_trial, counterexample = trial, assignment
+            break
+    return OracleReport(
+        certificate=f"({cert.k},{cert.l}):{cert.source}", dim=dim, trials=trials, seed=seed,
+        modulus=modulus, verdict="pass" if failed_trial is None else "fail",
+        failed_trial=failed_trial, counterexample=counterexample, note=note,
+    )

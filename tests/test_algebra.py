@@ -19,7 +19,7 @@ from helpers import (
     reference_parse_expr,
     reference_reduce,
 )
-from liering import algebra, families
+from liering import algebra, cli, families
 from liering.algebra import (
     MAX_DEPTH,
     BidegreeError,
@@ -525,6 +525,26 @@ def test_parse_expr_builds_the_trees_itself(monkeypatch):
         got = parse_expr(text)
         assert got == want, text
         assert all(c for c in got.terms.values()), text
+
+
+def test_parse_expr_refuses_a_product_past_the_term_limit(capsys):
+    # [a+b, ..., a+b] with n slots multiplies out to 2^n trees.
+    def slots(n):
+        return "[" + ",".join(["a+b"] * n) + "]"
+
+    limit = algebra.MAX_PRODUCT_TERMS
+    assert limit == 2**12
+    assert len(parse_expr(slots(12)).terms) == limit
+    assert len(parse_expr(f"[{slots(6)},{slots(6)}]").terms) == limit
+    for text, position in ((slots(13), 49), (slots(20), 49), (f"[{slots(6)},{slots(7)}]", 27)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^parse error at position {position}: bracket "
+                                             f"multiplies out to 8192 trees, past the limit"):
+            parse_expr(text)
+        assert time.perf_counter() - start < 1
+    assert cli.main(["normalize", slots(20)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: parse error at position 49: ")
 
 
 def _left_normed_string(tree) -> str:

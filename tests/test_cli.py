@@ -508,6 +508,40 @@ def test_golden_stdout(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
 
 
+# SHA-256 of the stdout of ``verify FILE --oracle``, recorded before the
+# oracle evaluated trials on a compiled plan of row-packed matrices: a pass,
+# a fail at trial 0 and one at trial 16 (each with its counterexample), a
+# modulus, and a larger dimension.  The fail replays a corrupted i33 (3, 3).
+ORACLE_STDOUT = [
+    ("i33-2", ("--oracle",),
+     "fb9fdde57d9a55a3950d17a7c89071b56870e80e54ea80c93641ccfda4a01517"),
+    ("bad-i33-1", ("--oracle", "--seed", "3"),
+     "b8ecec16761c56203a223d70cd93a205e7a9e6e5041de84f77f08bd60470c945"),
+    ("bad-i33-1", ("--oracle", "--seed", "7", "--modulus", "2", "--dim", "2"),
+     "16afe005b3532cac33375b1dcb587d223c27c903f31a6344e1ca860cbec2d442"),
+    ("i33-2", ("--oracle", "--modulus", "7"),
+     "3303af13f29d845150d22ba79021708e906fde08c7dbf6d0f5d824e7b92d4a38"),
+    ("i2-6", ("--oracle", "--dim", "7", "--trials", "5"),
+     "ee8dbdef4f1add6e6b49f5470d453708cea10869c324a1303310be5e83110eec"),
+]
+
+
+def test_verify_oracle_stdout(capsys, tmp_path):
+    bad = certificate_to_dict(i33_certificate(1))
+    bad["A"][0][0] = str(int(bad["A"][0][0]) + 1)
+    payloads = {
+        "i33-2": certificate_to_dict(i33_certificate(2)),
+        "bad-i33-1": bad,
+        "i2-6": certificate_to_dict(families.i2_certificate(6)),
+    }
+    for name, data in payloads.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    for name, options, digest in ORACLE_STDOUT:
+        code, out, _ = run(capsys, "verify", str(tmp_path / f"{name}.json"), *options)
+        assert code == (1 if name.startswith("bad") else 0), options
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (name, options)
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

@@ -1,13 +1,23 @@
 """Matrix-evaluation oracle: sound rejection, evidence-only passes."""
 
 import dataclasses
+import inspect
 import random
+import sys
+import time
 
 import pytest
 
-from helpers import random_bidegree, random_expr
+from helpers import (
+    random_bidegree,
+    random_expr,
+    reference_evaluate_certificate,
+    reference_evaluate_element,
+    reference_evaluate_expr,
+    reference_oracle_check,
+)
 from liering import oracle
-from liering.algebra import left_normed, normalize
+from liering.algebra import LieElement, left_normed, normalize
 from liering.families import i2_certificate, i33_certificate
 from liering.kernels import IdentityCertificate, kernel_certificates, verify_certificate
 from liering.oracle import (
@@ -209,3 +219,117 @@ def test_sensitivity_every_small_basis_element_is_seen():
                         break
                 assert word in witnesses, f"no witness for {word}"
     assert witnesses["ab"] is not None
+
+
+MODULI = (None, 2, 3, 101, 2**61 - 1)
+
+
+def _assignments(rng, count):
+    """Seeded assignments at dims 2 to 7, every third one of entries near +-2^80."""
+    out = []
+    for i in range(count):
+        dim = 2 + i % 6
+        if i % 3:
+            out.append(random_assignment(dim, rng.randrange(1 << 31)))
+        else:
+            a, b = (tuple(tuple(rng.choice((-1, 0, 1)) * (2**80 - rng.randint(0, 9))
+                                for _ in range(dim)) for _ in range(dim)) for _ in range(2))
+            out.append(MatrixAssignment(dim, a, b))
+    return out
+
+
+def test_evaluation_matches_the_reference():
+    # The plan on row-packed integers against the recursive walk with dense
+    # products and a reduction after every step.
+    rng = random.Random(1414)
+    exprs = [random_expr(rng, *random_bidegree(rng, 9, 2)) for _ in range(24)]
+    elements = [normalize(expr) for expr in exprs[:12]]
+    four = i2_certificate(4)
+    certs = [i2_certificate(2), four, i33_certificate(1), i33_certificate(2),
+             dataclasses.replace(four, A=2 * four.A), *kernel_certificates(3, 3)]
+    for assign in _assignments(rng, 12):
+        for modulus in MODULI:
+            for expr in exprs:
+                assert (evaluate_expr(expr, assign, modulus)
+                        == reference_evaluate_expr(expr, assign, modulus)), (expr, modulus)
+            for x in elements:
+                assert (evaluate_element(x, assign, modulus)
+                        == reference_evaluate_element(x, assign, modulus)), (x, modulus)
+            for cert in certs:
+                assert (evaluate_certificate(cert, assign, modulus)
+                        == reference_evaluate_certificate(cert, assign, modulus)), modulus
+    # Entries near 2^80 past weight 8 need slots of hundreds of bits.
+    big = random_assignment(4, 3)
+    big = MatrixAssignment(4, *(tuple(tuple(v * 2**80 + 1 for v in row) for row in m)
+                                for m in (big.a_matrix, big.b_matrix)))
+    value = evaluate_expr(lyndon_bracket("aabababb"), big)
+    assert value == reference_evaluate_expr(lyndon_bracket("aabababb"), big)
+    assert max(abs(v) for row in value for v in row).bit_length() > 600
+
+
+def _corrupted():
+    i2, i33 = i2_certificate(6), i33_certificate(2)
+    return [
+        dataclasses.replace(i2, A=2 * i2.A),
+        dataclasses.replace(i2, B=i2.B + normalize(left_normed("a", "b", "b", "b", "a", "b", "b"))),
+        dataclasses.replace(i33, B=i33.B + normalize(left_normed("a", "b", "b", "b", "b", "b",
+                                                                 "a", "a"))),
+        dataclasses.replace(i33_certificate(1), A=i33_certificate(1).A + 3 * normalize(
+            left_normed("a", "b", "b", "a", "b"))),
+    ]
+
+
+@pytest.mark.parametrize("modulus", MODULI)
+def test_oracle_reports_match_the_reference(modulus):
+    # Corrupted certificates fail at the same trial with the same
+    # counterexample; sound ones pass alike.
+    fails = 0
+    for cert in _corrupted() + [i2_certificate(6), i33_certificate(3)]:
+        for dim, seed in ((2, 7), (4, 1), (5, 20)):
+            report = oracle_check(cert, trials=20, dim=dim, seed=seed, modulus=modulus)
+            assert report == reference_oracle_check(cert, 20, dim, seed, modulus)
+            fails += not report.passed
+    assert fails >= 6  # of the 12 runs on corrupted certificates
+
+
+def test_a_weight_255_bracket_evaluates_without_recursion():
+    # [a^127 b^128] nests 255 levels deep; the plan is walked with an explicit
+    # stack, so a recursion limit the tree depth would exhaust is no obstacle.
+    word = "a" * 127 + "b" * 128
+    x = LieElement((127, 128), {word: 1})
+    tree = lyndon_bracket(word)
+    assign = random_assignment(4, 2)
+    expected = reference_evaluate_element(x, assign, modulus=101)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        with pytest.raises(RecursionError):
+            reference_evaluate_element(x, assign, modulus=101)
+        value = evaluate_element(x, assign, modulus=101)
+        exact = evaluate_expr(tree, assign)
+    finally:
+        sys.setrecursionlimit(old)
+    assert value == expected
+    assert any(map(any, exact))
+    assert tuple(tuple(v % 101 for v in row) for row in exact) == expected
+
+
+def test_a_modulus_keeps_the_slots_of_a_weight_256_certificate_small():
+    # Under a modulus, every step that later steps read is reduced once its
+    # bound reaches the modulus, so the slots stay a few dozen bits wide at
+    # any weight; exact slots for i2's weight-256 certificate at dim 20 are
+    # thousands of bits wide, and such a trial took about 5 s.
+    good = i2_certificate(254)
+    bad = dataclasses.replace(good, A=2 * good.A)
+    start = time.perf_counter()
+    report = oracle_check(good, trials=1, dim=20, modulus=101)
+    assert time.perf_counter() - start < 1.5
+    assert report.passed
+    # Reducing along the way leaves the residues of the exact values.
+    for dim, seed in ((2, 5), (3, 6)):
+        assign = random_assignment(dim, seed)
+        exact = evaluate_certificate(bad, assign)
+        assert any(map(any, exact))
+        for modulus in (2, 3, 101):
+            assert evaluate_certificate(bad, assign, modulus) == tuple(
+                tuple(v % modulus for v in row) for row in exact)

@@ -143,6 +143,13 @@ def test_lyndon_words_are_sorted_and_lyndon():
             assert all(bidegree(w) == (k, l) for w in words)
 
 
+def test_lyndon_words_match_the_filter_of_all_words_up_to_weight_16():
+    # lyndon_words tests only the words a...b; this filters every word.
+    for n in range(1, 17):
+        for k in range(n + 1):
+            assert lyndon_words(k, n - k) == tuple(w for w in all_words(k, n - k) if is_lyndon(w))
+
+
 def test_lyndon_counts_match_witt_up_to_weight_14():
     for n in range(1, 15):
         for k in range(n + 1):

@@ -30,12 +30,14 @@ of the folded children.  ``_tree_poly``, the cached expansion
 [x, y] = xy - yx of a tree in the free associative ring, serves only
 ``assoc_expand``, which applies it to an arbitrary expression for checks
 against the associative ring, and the certificate check in ``kernels``,
-which reads it only for the standard factors of the words it checks.
+which reads it only for the left standard factors of the words it checks
+and for right factors alone in their group, so no such word is expanded.
 
 Every sum of word or tree dicts goes through ``_accumulate(out, terms,
-scale)``, which adds scale * terms into ``out`` in place, and every xy - yx
-on word dicts through ``_commutator``.  The caller owns ``out``: it is a
-fresh dict or a copy, never a dict cached by ``_tree_poly`` or ``_prod``.
+scale)``, which adds scale * terms into ``out`` in place, and every
+scale * (xy - yx) on word dicts through ``_commutator(x, y, scale, out)``.
+The caller owns ``out``: it is a fresh dict or a copy, never a dict cached
+by ``_tree_poly`` or ``_prod``.
 
 Coefficients are plain Python integers throughout; nothing here ever
 rounds or overflows.  All public functions are pure, and the internal
@@ -111,13 +113,13 @@ def _accumulate(out: dict, terms: Mapping, scale: int = 1) -> dict:
     return out
 
 
-def _commutator(p: Mapping[str, int], q: Mapping[str, int]) -> dict[str, int]:
-    """pq - qp on word dicts, as a new dict."""
-    out: dict[str, int] = {}
+def _commutator(p: Mapping[str, int], q: Mapping[str, int], scale=1, out=None) -> dict:
+    """Add scale * (pq - qp) on word dicts into ``out``, a new dict by default."""
+    out = {} if out is None else out
     # One _accumulate call per word of the shorter dict (qp - pq = -(pq - qp)):
     # for a fixed w, u -> w + u and u -> u + w are injective, so no
     # comprehension merges two terms.
-    short, other, sign = (p, q, 1) if len(p) <= len(q) else (q, p, -1)
+    short, other, sign = (p, q, scale) if len(p) <= len(q) else (q, p, -scale)
     for w, cw in short.items():
         _accumulate(out, {w + u: cu for u, cu in other.items()}, sign * cw)
         _accumulate(out, {u + w: cu for u, cu in other.items()}, -sign * cw)
@@ -163,8 +165,6 @@ class BracketExpr:
 
     @classmethod
     def letter(cls, letter: str) -> "BracketExpr":
-        if letter not in LETTERS:
-            raise ValueError(f"letter must be one of {LETTERS}, got {letter!r}")
         return cls._make({Leaf(letter): 1})
 
     @classmethod

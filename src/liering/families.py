@@ -204,14 +204,11 @@ FAMILY_BIDEGREES = {
 }
 
 # The largest i33 member built on request, set when the certificate check
-# expanded each basis word whole: fresh-process runs of ``family i33`` on a
-# 2-core VM with CPython 3.11 took 8.0 s and 1.37 GB at n = 27, 10.8 s and
-# 1.61 GB at n = 28, and no result in 500 s at n = 40, against 1.63 GB for
-# ``kernel 9 9 --certify``.  Now that the check walks the standard factors,
-# n = 28 takes about 0.8 s and 100 MB and n = 40 about 3.3 s and 0.4 GB;
-# the limit stays until a bound priced on that walk replaces it.  i2 and
-# qbad need only the weight limit (``family i2 --m 254`` takes about 0.3 s
-# and 26 MB).
+# expanded each basis word whole (10.8 s and 1.61 GB at n = 28).  Now that
+# it walks one group of words per left standard factor, ``--n 28`` takes
+# about 0.8 s and 18 MB and n = 40 about 2 s and 22 MB; the limit stays
+# until a bound priced on that walk replaces it.  i2 and qbad need only
+# the weight limit (``family i2 --m 254`` takes about 0.3 s and 26 MB).
 MAX_I33_N = 28
 
 

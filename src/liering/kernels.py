@@ -16,18 +16,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Iterable, Iterator
 
 from .algebra import (
     InconsistencyError,
     LieElement,
     _accumulate,
+    _commutator,
     _tree_poly,
     bracket_with_letter,
     check_weight,
 )
-from .words import is_lyndon, lyndon_bracket, lyndon_words
+from .words import BracketTree, is_lyndon, lyndon_bracket, lyndon_words
 from .zlinalg import (
     Echelon,
     IntMatrix,
@@ -164,128 +166,125 @@ def _check_certificate_shape(cert: IdentityCertificate) -> None:
 def _lyndon_key(word: str) -> str | None:
     """The first copy of ``word`` seen if it is Lyndon, else None.
 
-    Memoized for the letter columns.  The words they test are w+u+b and
-    a+w+u, for w, u a pair of terms of the ``_tree_poly`` dicts of a
-    word's standard factors: words of the bidegree of [[word], letter] that
-    start with a and end with b, so the cache holds at most C(k+l-2, k-1)
-    words per bidegree (k, l) checked, and only those some walk reached.
-    A word is met from many columns and pairs of a slice, which then share
-    one string for it as a key.
+    Memoized for ``_letter_image``: its words w+t+b and a+w+t of a bidegree
+    (k, l) start with a and end with b, so the cache holds at most
+    C(k+l-2, k-1) of them, and the many pairs that meet one share a key.
     """
     return word if is_lyndon(word) else None
 
 
-def _letter_column(word: str, letter: str) -> dict[str, int]:
-    """Coefficients of [[word], letter] on the Lyndon words of its bidegree.
+def _groups(terms: dict[BracketTree, int]) -> Iterator[tuple[dict, dict, int]]:
+    """(P_u, Q_u, scale) per left factor u: sum_w c_w P_w = sum scale (P_u Q_u - Q_u P_u).
 
-    With P the associative expansion of [word], [[word], x] = Px - xP.  A
-    Lyndon word of weight >= 2 starts with a and ends with b, so one term
-    of Px - xP alone reaches the Lyndon words: P(v) at z = vb when x is b,
-    and -P(v) at z = av when x is a.  P is never built: [word] = [[u], [v]]
-    for (u, v) the standard factorization, so P = P_u P_v - P_v P_u, and as
-    P_u and P_v are homogeneous, each term of P_u P_v is the one product
-    c_w c_t at the word wt.  The column walks the pairs of the cached
-    ``_tree_poly`` dicts of the two factors, only the left words that start
-    with a when x is b and only the right words that end with b when x is
-    a, and tests each extended word with ``_lyndon_key``.  Its work is
-    bounded by 2|P_u||P_v|, whatever the size of the bidegree, and no word
-    list is enumerated.  It is not cached: a batch builds each of its
-    columns once.
+    P_[u,v] = P_u P_v - P_v P_u is linear in P_v, so Q_u = sum_v c_uv P_v.
+    P_u is the cached ``_tree_poly`` dict, and so is Q_u for a group of one
+    tree, its coefficient the scale; a group of several, whose right factors
+    share a bidegree of weight >= 2, is expanded by the same grouping, uncached.
     """
-    if len(word) == 1:
-        return {} if word == letter else {"ab": 1 if letter == "b" else -1}
-    tree = lyndon_bracket(word)
-    left_poly, right_poly = _tree_poly(tree.left), _tree_poly(tree.right)
-    column: dict[str, int] = {}
-    for left, right, sign in ((left_poly, right_poly, 1), (right_poly, left_poly, -1)):
-        if letter == "b":
-            left = {w: c for w, c in left.items() if w[0] == "a"}
-            head, tail = "", "b"
+    groups: dict[BracketTree, dict[BracketTree, int]] = {}
+    for tree, c in terms.items():
+        groups.setdefault(tree.left, {})[tree.right] = c
+    for left, rights in groups.items():
+        if len(rights) == 1:
+            ((right, c),) = rights.items()
+            yield _tree_poly(left), _tree_poly(right), c
         else:
-            right = {t: c for t, c in right.items() if t[-1] == "b"}
-            head, tail, sign = "a", "", -sign
-        for w, cw in left.items():
-            # For a fixed w, t -> wt is injective, so no comprehension merges two terms.
-            prefix = head + w
-            hits = {key: ct for t, ct in right.items()
-                    if (key := _lyndon_key(prefix + t + tail)) is not None}
-            _accumulate(column, hits, sign * cw)
-    return column
+            yield _tree_poly(left), _expansion(rights), 1
 
 
-def _vanishes(certs: tuple[IdentityCertificate, ...], columns: dict) -> bool:
-    """Whether [A,a] + [B,b] is 0 for every certificate, by one packed sum.
+def _expansion(terms: dict[BracketTree, int]) -> dict[str, int]:
+    """sum_w c_w P_w for bracket trees w of weight >= 2, as a new dict."""
+    out: dict[str, int] = {}
+    for p, q, scale in _groups(terms):
+        _commutator(p, q, scale, out)
+    return out
 
-    Certificate t enters the column of (word, letter) as slot t of the
-    packed coefficient sum_t c_t 2^(W t), c_t its coefficient at that word
-    (a Kronecker substitution), so one ``_accumulate`` per column adds the
-    column into every image at once.  At a Lyndon word, slot t of the
-    packed image is certificate t's coefficient s_t, and |s_t| is at most
-    ||(A_t, B_t)||_1 times the largest column entry, which is below
-    2^(W-1) for W the bit length of the largest such product plus one.  A
-    sum sum_t s_t 2^(W t) with every |s_t| < 2^W is 0 only when every s_t
-    is: it is s_0 modulo 2^W, so s_0 = 0, and the rest is 2^W times a
-    shorter such sum.  So the packed image is empty exactly when every
-    image is.
+
+def _letter_image(out: dict, coeffs: dict[str, int], letter: str) -> dict:
+    """Add the coefficients of [sum_w c_w [w], letter] on Lyndon words into ``out``.
+
+    With P the associative expansion of X = sum_w c_w [w], [X, x] = Px - xP.
+    A Lyndon word of weight >= 2 starts with a and ends with b, so only
+    P(v) at z = vb (x = b) and -P(v) at z = av (x = a) reach them.  P is
+    never built: for each of the ``_groups`` the walk takes the pairs of P_u
+    and Q_u both ways round, only left words starting with a (x = b) or
+    right words ending with b (x = a), and tests each extended word with
+    ``_lyndon_key``.  The coefficients may be packed.
     """
-    entry = max((abs(c) for column in columns.values() for c in column.values()), default=0)
-    norm = max(sum(map(abs, cert.A.coeffs.values())) + sum(map(abs, cert.B.coeffs.values()))
-               for cert in certs)
-    width = (norm * entry).bit_length() + 1
-    parts = {"a": [cert.A.coeffs for cert in reversed(certs)],
-             "b": [cert.B.coeffs for cert in reversed(certs)]}
-    image: dict[str, int] = {}
-    for (word, letter), column in columns.items():
-        packed = 0
-        for coeffs in parts[letter]:
-            packed = (packed << width) + coeffs.get(word, 0)
-        if packed:
-            _accumulate(image, column, packed)
-    return not image
+    trees = {}
+    for word, c in coeffs.items():
+        if len(word) > 1:
+            trees[lyndon_bracket(word)] = c
+        elif word != letter:  # [b, a] = -[ab], [a, b] = [ab]
+            _accumulate(out, {"ab": 1 if letter == "b" else -1}, c)
+    for p, q, scale in _groups(trees):
+        for left, right, sign in ((p, q, scale), (q, p, -scale)):
+            if letter == "b":
+                left = {w: c for w, c in left.items() if w[0] == "a"}
+                head, tail = "", "b"
+            else:
+                right = {t: c for t, c in right.items() if t[-1] == "b"}
+                head, tail, sign = "a", "", -sign
+            for w, cw in left.items():
+                # For a fixed w, t -> wt is injective, so no comprehension merges two terms.
+                prefix = head + w
+                hits = {key: ct for t, ct in right.items()
+                        if (key := _lyndon_key(prefix + t + tail)) is not None}
+                _accumulate(out, hits, sign * cw)
+    return out
 
 
 def verify_certificates(certs: Iterable[IdentityCertificate]) -> tuple[bool, ...]:
     """Re-check [A,a] + [B,b] = 0 for certificates of one bidegree; record each verdict.
 
     Returns the verdicts in the order given; the empty batch returns ().
-    [A,a] + [B,b] is a Lie polynomial, and a Lie polynomial is 0 exactly
-    when its coefficients on the Lyndon words of its bidegree are 0,
-    because the Lyndon x Lyndon block of the basis expansion is unit
-    triangular (Reutenauer, *Free Lie Algebras*, Ch. 4-5).  Those
-    coefficients are summed from ``_letter_column``, which reads the
-    associative expansions of the standard factors of the basis words,
-    tests words with ``is_lyndon`` and solves nothing.  So the check
-    shares no code with the Lyndon rewriting (``algebra._prod``) that
-    computed the kernel vectors, which expands nothing, and does not depend
-    on ``lyndon_words`` listing a bidegree in full.
+    A Lie polynomial such as [A,a] + [B,b] is 0 exactly when its
+    coefficients on the Lyndon words of its bidegree are, the Lyndon x
+    Lyndon block of the basis expansion being unit triangular (Reutenauer,
+    *Free Lie Algebras*, Ch. 4-5).  ``_letter_image`` reads them off the
+    associative expansions of left standard factors and lone right factors,
+    testing words with ``is_lyndon``: it shares no code with the rewriting
+    (``algebra._prod``) that computed the kernel vectors, and lists no
+    bidegree.
 
-    Each (word, letter) column of the batch is built once, and ``_vanishes``
-    adds it into the images of all the certificates in one packed pass.
-    When some image is not 0, each certificate is checked alone on the
-    same columns, so each gets its own verdict.
+    The batch is one image: each word of A or B carries the packed
+    coefficient sum_t c_t 2^(W t), so slot t of the image at a Lyndon word
+    is certificate t's coefficient s_t there.  The expansion of a Lyndon
+    bracket of weight m has coefficients of at most 2^(m-1) (induction on
+    P_[u,v] = P_u P_v - P_v P_u), so |s_t| < 2^(W-1) for W the bit length
+    of max_t ||(A_t, B_t)||_1 plus k+l-1.  With 2^(W-1) added, each slot is
+    a digit in [1, 2^W), 2^(W-1) exactly when s_t is 0; certificate t is
+    verified exactly when its slot is 0 at every Lyndon word.
     """
     certs = tuple(certs)
     for cert in certs:
         _check_certificate_shape(cert)
     if len({(cert.k, cert.l) for cert in certs}) > 1:
         raise ValueError("a batch of certificates must share one bidegree")
-    keys = dict.fromkeys((word, letter) for cert in certs
-                         for part, letter in ((cert.A, "a"), (cert.B, "b")) for word in part.coeffs)
-    columns = {key: _letter_column(*key) for key in keys}
-    if not certs or _vanishes(certs, columns):
-        verdicts = (True,) * len(certs)
-    else:
-        verdicts = tuple(_vanishes((cert,), columns) for cert in certs)
+    if not certs:
+        return ()
+    k, l = certs[0].k, certs[0].l
+    norm = max(sum(map(abs, (*cert.A.coeffs.values(), *cert.B.coeffs.values()))) for cert in certs)
+    # At least 1: the zero certificates of (1, 0) and (0, 1) give 0.
+    width = max(norm.bit_length() + k + l - 1, 1)
+    image: dict[str, int] = {}
+    for letter in "ab":
+        packed: dict[str, int] = {}
+        for t, cert in enumerate(certs):
+            _accumulate(packed, (cert.A if letter == "a" else cert.B).coeffs, 1 << (width * t))
+        _letter_image(image, packed, letter)
+    shifts = range(0, width * len(certs), width)
+    offset = sum(1 << (s + width - 1) for s in shifts)
+    # Slot t of (v + offset) ^ offset is 0 exactly when s_t is.
+    nonzero = reduce(or_, ((v + offset) ^ offset for v in image.values()), 0)
+    verdicts = tuple(not nonzero >> s & ((1 << width) - 1) for s in shifts)
     for cert, verdict in zip(certs, verdicts):
         object.__setattr__(cert, "verified", verdict)
     return verdicts
 
 
 def verify_certificate(cert: IdentityCertificate) -> bool:
-    """Re-check [A,a] + [B,b] = 0; record the verdict and return it.
-
-    The batch of one of :func:`verify_certificates`.
-    """
+    """Re-check [A,a] + [B,b] = 0, record the verdict and return it: a batch of one."""
     return verify_certificates((cert,))[0]
 
 

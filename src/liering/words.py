@@ -20,9 +20,13 @@ LETTERS = ("a", "b")
 
 @dataclass(frozen=True, slots=True)
 class Leaf:
-    """A single letter."""
+    """A single letter, a or b; any other string is refused."""
 
     letter: str
+
+    def __post_init__(self) -> None:
+        if self.letter not in LETTERS:
+            raise ValueError(f"letter must be one of {LETTERS}, got {self.letter!r}")
 
 
 @dataclass(frozen=True, slots=True)

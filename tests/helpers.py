@@ -18,7 +18,8 @@ the unit-pivot pass, and ``reference_verify_certificate`` the check of a
 certificate on the full associative expansion of [A,a] + [B,b], which the
 package replaced by a check on the Lyndon coefficients.
 ``reference_letter_column`` reads those coefficients off the full expansion
-of the word, where the package walks the pairs of its standard factors.
+of the word, where the package walks the pairs of left standard factors
+and their groups of right factors.
 ``reference_evaluate_expr``, ``reference_evaluate_element``,
 ``reference_evaluate_certificate`` and ``reference_oracle_check`` are the
 matrix oracle's former evaluation, moved here unchanged: a recursive walk

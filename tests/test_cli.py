@@ -241,27 +241,30 @@ def test_normalize_expands_nothing_and_enumerates_no_bidegree(capsys, monkeypatc
 def test_kernel_8_8_certify_expands_no_word_whose_column_it_takes(capsys, monkeypatch):
     # The digest is of the stdout before the certificate check walked the
     # standard factors of each word, when it expanded the word itself.  Now
-    # every tree the check expands is lighter than the word of its column.
-    columns, heavy = [], []
-    real_column, real_tree_poly = kernels._letter_column, kernels._tree_poly
-
-    def column(word, letter):
-        columns.append(word)
-        return real_column(word, letter)
+    # every tree the check expands, a left factor or a lone right factor,
+    # and every group of right factors it expands is lighter than the domain
+    # words of the slice.
+    domain_weight = {len(word) for word, _ in kernels.pair_matrix(8, 8).domain}
+    assert domain_weight == {15}
+    trees, groups = [], []
+    real_tree_poly, real_expansion = kernels._tree_poly, kernels._expansion
 
     def tree_poly(tree):
-        if sum(words.tree_bidegree(tree)) >= len(columns[-1]):
-            heavy.append((columns[-1], words.bracket_string(tree)))
+        trees.append(sum(words.tree_bidegree(tree)))
         return real_tree_poly(tree)
 
-    monkeypatch.setattr(kernels, "_letter_column", column)
+    def expansion(terms):
+        groups.extend(sum(words.tree_bidegree(tree)) for tree in terms)
+        return real_expansion(terms)
+
     monkeypatch.setattr(kernels, "_tree_poly", tree_poly)
+    monkeypatch.setattr(kernels, "_expansion", expansion)
     kernels.kernel_certificates.cache_clear()
     code, out, err = run(capsys, "kernel", "8", "8", "--certify")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "3083ffb91bf39b9a9ead2c1cb4aa9fe7f1133e34f24a08a37de656c68ee7cf91")
-    assert len(columns) == len(set(columns)) > 0 and heavy == []
+    assert trees and groups and max(trees + groups) < 15
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from helpers import (
     reference_verify_certificate,
 )
 from liering import kernels, words, zlinalg
-from liering.algebra import InconsistencyError, LieElement, bracket, engel
+from liering.algebra import InconsistencyError, LieElement, _accumulate, bracket, engel
 from liering.families import i2_certificate, i33_certificate, qbad_certificate
 from liering.dims import kernel_dim, kernel_dim_a3, kernel_dim_bigraded
 from liering.kernels import (
@@ -196,19 +196,47 @@ def test_verify_certificate_enumerates_no_bidegree(monkeypatch):
     assert verify_certificate(thin) is reference_verify_certificate(thin) is False
 
 
-def test_letter_column_matches_the_full_expansion_up_to_weight_13():
-    # The walk over the pairs of the standard factors' expansions against the
-    # column read off the expansion of the word itself, letters included.
+def test_letter_column_matches_the_full_expansion_up_to_weight_13(monkeypatch):
+    # The grouped walk over the standard factors' expansions against the
+    # column read off the expansion of each word itself, letters included:
+    # every one-word element, then random elements with packed coefficients
+    # against the sum of their words' columns.
     columns = 0
     for n in range(1, 14):
         for k in range(n + 1):
             for word in words.lyndon_words(k, n - k):
                 for letter in "ab":
                     expected = reference_letter_column(word, letter)
-                    assert kernels._letter_column(word, letter) == expected, (word, letter)
+                    assert kernels._letter_image({}, {word: 1}, letter) == expected, (word, letter)
                     columns += 1
     assert columns == 2 * sum(len(words.lyndon_words(k, n - k))
                               for n in range(1, 14) for k in range(n + 1)) == 2754
+    depth, depths = [0], []
+    real_expansion = kernels._expansion
+
+    def expansion(terms):
+        depths.append(depth[0])
+        depth[0] += 1
+        try:
+            return real_expansion(terms)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(kernels, "_expansion", expansion)
+    rng = random.Random(1513)
+    for n in range(1, 12):
+        for k in range(n + 1):
+            basis = words.lyndon_words(k, n - k)
+            for _ in range(3):
+                coeffs = {w: sum(rng.randint(-9, 9) << (70 * t) for t in range(4)) or -1
+                          for w in rng.sample(basis, rng.randint(min(1, len(basis)), len(basis)))}
+                for letter in "ab":
+                    expected: dict[str, int] = {}
+                    for w, c in coeffs.items():
+                        _accumulate(expected, reference_letter_column(w, letter), c)
+                    assert kernels._letter_image({}, coeffs, letter) == expected, (coeffs, letter)
+    # Groups of several words were expanded, some of them inside another group.
+    assert depths.count(0) > 100 and max(depths) >= 1
 
 
 def _scaled(cert: IdentityCertificate, factor: int) -> IdentityCertificate:
@@ -249,7 +277,15 @@ def test_verify_certificates_gives_each_certificate_its_reference_verdict():
         "one valid": valid[:1],
         "one corrupted": [bad],
     }
+    # One-word certificates have image coefficients far above their norm of
+    # 1, so the slots must be wider than the norm: beside zero certificates
+    # (norm 0, verified) they spill into their neighbours' slots otherwise.
+    zero = IdentityCertificate(6, 6, LieElement.zero(), LieElement.zero())
+    domain = pair_matrix(6, 6).domain[::7]
+    batches["one-word and zero"] = [cert for word, letter in domain
+                                    for cert in (_moved(zero, word, letter), zero)]
     verdicts = {name: _assert_batch_matches_the_reference(batch) for name, batch in batches.items()}
+    assert verdicts["one-word and zero"] == (False, True) * len(domain)
     assert verdicts["all valid"] == verdicts["scaled"] == (True,) * 9
     assert verdicts["corrupted in the middle"] == (True,) * 4 + (False,) + (True,) * 5
     assert verdicts["scaled neighbours of a corruption"] == (True, False, True, False)

@@ -17,7 +17,7 @@ from helpers import (
     reference_oracle_check,
 )
 from liering import oracle
-from liering.algebra import LieElement, left_normed, normalize
+from liering.algebra import BracketExpr, LieElement, left_normed, normalize
 from liering.families import i2_certificate, i33_certificate
 from liering.kernels import IdentityCertificate, kernel_certificates, verify_certificate
 from liering.oracle import (
@@ -28,13 +28,22 @@ from liering.oracle import (
     oracle_check,
     random_assignment,
 )
-from liering.words import lyndon_bracket, lyndon_words
+from liering.words import Leaf, Node, lyndon_bracket, lyndon_words
 
 
 def unit_matrix(dim, i, j):
     return tuple(
         tuple(1 if (r, c) == (i, j) else 0 for c in range(dim)) for r in range(dim)
     )
+
+
+def test_a_tree_on_a_third_letter_reaches_neither_normalize_nor_evaluation():
+    # Such a tree used to normalize to the element [ac] and to make
+    # evaluate_expr raise AttributeError; its leaf is refused when built.
+    assignment = random_assignment(3, seed=5)
+    for use in (normalize, lambda expr: evaluate_expr(expr, assignment)):
+        with pytest.raises(ValueError, match="letter must be one of"):
+            use(BracketExpr.from_tree(Node(Leaf("a"), Leaf("c"))))
 
 
 def test_evaluate_elementary_matrices():

@@ -193,6 +193,13 @@ def test_node_hash_is_stored_once():
             setattr(x, name, Leaf("a"))
 
 
+def test_leaf_refuses_a_letter_outside_the_alphabet():
+    assert Leaf("a").letter == "a" and Leaf("b") == lyndon_bracket("b")
+    for letter in ("c", "", "ab", "A", None, 0):
+        with pytest.raises(ValueError, match="letter must be one of"):
+            Leaf(letter)
+
+
 def test_unpickled_node_rehashes_in_another_process():
     # String hashes depend on the process, so a stored hash must not travel.
     tree = _two_copies()[0]

@@ -203,17 +203,6 @@ FAMILY_BIDEGREES = {
     "i33": lambda n: (3, 3 * n),
 }
 
-# The largest i33 member built on request, set when the certificate check
-# expanded each basis word whole (10.8 s and 1.61 GB at n = 28).  Now that
-# it walks one group of words per left standard factor, ``--n 28`` takes
-# about 0.8 s and 18 MB and n = 40 about 2 s and 22 MB; the limit stays
-# until a bound priced on that walk replaces it.  i2 and qbad need only
-# the weight limit (``family i2 --m 254`` takes about 0.3 s and 26 MB).
-MAX_I33_N = 28
-
-
 def check_family_size(name: str, size: int) -> None:
-    """Refuse a member past the weight limit, or i33 past MAX_I33_N, before any bracket."""
+    """Refuse a member past the weight limit before any bracket."""
     check_weight(*FAMILY_BIDEGREES[name](size))
-    if name == "i33" and size > MAX_I33_N:
-        raise ValueError(f"family i33 with n = {size} exceeds the limit of {MAX_I33_N}")

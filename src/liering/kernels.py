@@ -329,14 +329,14 @@ def kernel_certificates(k: int, l: int) -> tuple[IdentityCertificate, ...]:
 def check_surjective(k: int, l: int) -> SurjectivityReport:
     """Rank and integral cokernel check for the pair map (weight >= 2 only).
 
-    The pivots are those of the slice's cached ``echelon``.  When the rank
-    equals the number of rows, the nonzero rows of HNF(M^T) are a
-    triangular basis of the image lattice, of index the product of the
-    pivots, so the cokernel is trivial exactly when every pivot is 1; the
-    invariant factors are then all 1.  The unit-pivot pass reports that
-    case directly, having shown M unimodularly onto Z^rows.  Any other
-    echelon contradicts the surjectivity of the pair map in weight >= 2,
-    so it means the pair matrix is wrong, and raises InconsistencyError.
+    The pivots are those of the slice's cached ``echelon``: the unit
+    pivots of its elimination, then the HNF pivots of its core, those of
+    an echelon basis of the image lattice.  When the rank equals the
+    number of rows, the index of the image is the product of the pivots,
+    so the cokernel is trivial exactly when every pivot is 1; the
+    invariant factors are then all 1.  Any other echelon contradicts the
+    surjectivity of the pair map in weight >= 2, so it means the pair
+    matrix is wrong, and raises InconsistencyError.
     """
     if k + l < 2:
         raise ValueError(f"surjectivity check needs weight >= 2, got ({k}, {l})")

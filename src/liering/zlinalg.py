@@ -9,15 +9,14 @@ Pivots of minimal absolute value keep intermediate entries small in
 practice (with exact arithmetic this is a performance choice only).  Since
 HNF is unique per row lattice, canonicalizing a basis makes lattice
 equality a plain comparison.  ``_unit_pivot_pass`` is a sparse
-elimination that takes only pivots of +1 or -1, so it never divides and
-needs no Hermite form; it gives up, and returns None, on any row that has
-no such pivot.
+elimination that takes only pivots of +1 or -1, so it never divides; the
+rows it cannot pivot that way are left, on the columns that took no
+pivot, as a small core that ``_hnf_pass`` reduces with ``_row_echelon``.
 
 ``echelon`` is the one pass per matrix the rest of the package needs: the
 rank of M, the pivots that decide whether M maps onto Z^rows, and the
-kernel of M.  It tries the unit-pivot pass first and falls back to
-reducing [M^T | I] with ``_row_echelon`` (``_hnf_pass``).  Either way the
-kernel is canonicalized with ``_row_echelon`` and re-checked against M.
+kernel of M, all from ``_unit_pivot_pass``.  The kernel is canonicalized
+with ``_row_echelon`` and re-checked against M.
 """
 
 from __future__ import annotations
@@ -145,7 +144,13 @@ def canonical_lattice(ambient: int, vectors: Iterable[Sequence[int]]) -> KernelL
 
 @dataclass(frozen=True)
 class Echelon:
-    """Rank of M, leading entries of the nonzero rows of HNF(M^T), kernel of M."""
+    """Rank of M, pivots of an echelon basis of its image, kernel of M.
+
+    The pivots are the unit pivots of the elimination, then the HNF pivots
+    of its core; there are ``rank`` of them.  M maps onto Z^rows exactly
+    when there are M.rows pivots and all are 1, and at full rank their
+    product is the index of the image.
+    """
 
     rank: int
     pivots: tuple[int, ...]
@@ -168,24 +173,26 @@ def _hnf_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
     return pivots, [row[m.rows :] for row in work[r:]]
 
 
-def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]] | None:
-    """Image pivots and kernel generators of M by unit-pivot elimination, or None.
+def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Image pivots and kernel generators of M: unit pivots, then an HNF core.
 
     The rows are kept as sparse dicts.  The shortest live row is taken
     next, and in it the +1 or -1 entry whose column has the fewest live
     rows (Markowitz pivoting), ties going to the lower row and column, so
     the order is fixed.  That column is then cleared from the other live
-    rows.  A row that is empty or has no unit entry when its turn comes
-    ends the pass with None.
+    rows, which go back on the heap.  A row that is empty or has no unit
+    entry when its turn comes stays live, unpivoted, until a pivot changes it.
 
     Each step adds integer multiples of a pivot row to other rows, a
-    unimodular operation, and every row ends with a unit pivot in its own
-    column that no row pivoted after it has.  So M maps onto Z^rows, which
-    is exactly when the nonzero rows of HNF(M^T) are the identity: the
-    rank is M.rows and every pivot is 1.  Each column that takes no pivot
-    gives one kernel vector, 1 there and 0 on the other free columns, with
-    the pivot coordinates back-substituted in reverse pivot order; since
-    the pivots are units, these vectors span the full integer kernel.
+    unimodular operation, and each pivot row has a unit in its own column
+    that no row pivoted after it has.  The rows still live at the end touch
+    only the free columns, those that took no pivot, and there form the
+    core S, which ``_hnf_pass`` reduces.  So the image of M is, up to a
+    unimodular change of basis, Z^(unit pivots) + image(S), and its
+    pivots are the unit ones followed by those of S.  Each kernel generator
+    of S, on the free columns, is completed by back-substituting the pivot
+    coordinates in reverse pivot order; since the pivots are units, this
+    maps ker S one to one onto ker M, so the results span the full kernel.
     """
     rows = [{j: c for j, c in enumerate(row) if c} for row in m.entries]
     holders: dict[int, set[int]] = {}  # column -> live rows with an entry in it
@@ -203,7 +210,7 @@ def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]] | 
             continue  # a stale entry: the row was pivoted or has changed length
         units = [j for j, c in row.items() if c == 1 or c == -1]
         if not units:
-            return None
+            continue  # stuck: it stays live, and comes back only if a pivot changes it
         p = min(units, key=lambda j: (len(holders[j]), j))
         live[i] = False
         for j in row:
@@ -224,10 +231,14 @@ def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]] | 
                     holders[j].discard(t)
             heapq.heappush(heap, (len(target), t))
         order.append((p, row))
-    # x[j] holds coordinate j of every generator at once, keyed by free column.
     pivot_cols = {p for p, _ in order}
     free = [j for j in range(m.cols) if j not in pivot_cols]
-    x: dict[int, dict[int, int]] = {f: {f: 1} for f in free}
+    core = [[row.get(j, 0) for j in free] for row, alive in zip(rows, live) if alive]
+    core_pivots, core_kernel = _hnf_pass(IntMatrix(core, cols=len(free)))
+    # x[j] holds coordinate j of every generator at once, keyed by generator.
+    x: dict[int, dict[int, int]] = {
+        f: {g: v[t] for g, v in enumerate(core_kernel) if v[t]} for t, f in enumerate(free)
+    }
     for p, row in reversed(order):
         value: dict[int, int] = {}
         for j, c in row.items():
@@ -235,24 +246,21 @@ def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]] | 
                 for f, e in x[j].items():
                     value[f] = value.get(f, 0) - row[p] * c * e
         x[p] = {f: e for f, e in value.items() if e}
-    generators = {f: [0] * m.cols for f in free}
+    generators = [[0] * m.cols for _ in core_kernel]
     for j, coeffs in x.items():
-        for f, e in coeffs.items():
-            generators[f][j] = e
-    return (1,) * m.rows, [generators[f] for f in free]
+        for g, e in coeffs.items():
+            generators[g][j] = e
+    return (1,) * len(order) + core_pivots, generators
 
 
 def echelon(m: IntMatrix) -> Echelon:
     """Rank, image pivots and canonical kernel of M.
 
-    The unit-pivot pass runs first, and ``_hnf_pass`` only when some row of
-    M has no unit pivot.  Both give the pivots of HNF(M^T) and generators
-    of the full integer kernel, which are canonicalized, so the result
-    does not depend on the path.  Every returned kernel vector is
-    re-checked against M exactly.
+    The generators of the full integer kernel from ``_unit_pivot_pass``
+    are canonicalized, and every returned kernel vector is re-checked
+    against M exactly.
     """
-    found = _unit_pivot_pass(m)
-    pivots, generators = found if found is not None else _hnf_pass(m)
+    pivots, generators = _unit_pivot_pass(m)
     lattice = canonical_lattice(m.cols, generators)
     if lattice.rank != len(generators):
         raise AssertionError("kernel generators were not independent")

@@ -13,8 +13,9 @@ for saturated kernels and trivial cokernels now that the package reads
 surjectivity off its echelon pivots, and ``reference_parse_expr`` a
 character-walking parser of the grammar ``algebra.parse_expr`` reads from one
 token list, building every expression through ``left_normed``.
-``reference_echelon`` is ``zlinalg.echelon`` by the dense HNF alone, without
-the unit-pivot pass, and ``reference_verify_certificate`` the check of a
+``reference_echelon`` is ``zlinalg.echelon`` by the dense HNF of the whole
+[M^T | I], where the package reduces only the core its unit-pivot pass
+leaves, and ``reference_verify_certificate`` the check of a
 certificate on the full associative expansion of [A,a] + [B,b], which the
 package replaced by a check on the Lyndon coefficients.
 ``reference_letter_column`` reads those coefficients off the full expansion
@@ -382,13 +383,19 @@ def reference_smith_invariants(m: IntMatrix) -> tuple[int, ...]:
 
 
 def reference_echelon(m: IntMatrix) -> Echelon:
-    """Rank, pivots and canonical kernel from the HNF of [M^T | I] alone."""
+    """Rank, pivots and canonical kernel from the HNF of the whole [M^T | I].
+
+    Its pivots are the diagonal of HNF(M^T), which ``zlinalg.echelon``'s
+    need not be: theirs are the unit pivots of its elimination, then the
+    core's.  Both count the rank, both are all 1 exactly when M is onto
+    Z^rows, and at full rank both multiply to the index of the image.
+    """
     pivots, generators = _hnf_pass(m)
     return Echelon(len(pivots), pivots, canonical_lattice(m.cols, generators))
 
 
-def count_fallbacks(monkeypatch) -> list[tuple[int, int]]:
-    """Record the shape of every matrix ``zlinalg.echelon`` hands to the HNF pass."""
+def core_shapes(monkeypatch) -> list[tuple[int, int]]:
+    """Record the shape of every core ``zlinalg.echelon`` hands to the HNF pass."""
     calls: list[tuple[int, int]] = []
     real = zlinalg._hnf_pass
 

@@ -422,8 +422,9 @@ def test_dims_refuses_a_weight_past_the_depth_limit(capsys, monkeypatch, argv):
     assert f"limit of {MAX_DEPTH}" in err
 
 
-@pytest.mark.parametrize("n", [families.MAX_I33_N + 1, 40, 84])
+@pytest.mark.parametrize("n", [MAX_DEPTH // 3])
 def test_family_i33_past_its_limit_is_refused_before_any_bracket(capsys, monkeypatch, n):
+    # n = 85 is bidegree (3, 255), weight 258: the weight limit caps i33 at n = 84.
     def no_bracket(x, y):
         raise AssertionError("a bracket was computed")
 
@@ -433,12 +434,12 @@ def test_family_i33_past_its_limit_is_refused_before_any_bracket(capsys, monkeyp
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"limit of {families.MAX_I33_N}" in err
+    assert f"limit of {MAX_DEPTH}" in err
 
 
 def test_family_limits_admit_the_largest_members():
     # Building them takes seconds and gigabytes, so only the check runs.
-    largest = (("i33", families.MAX_I33_N), ("i2", MAX_DEPTH - 2), ("qbad", MAX_DEPTH // 2 - 1))
+    largest = (("i33", MAX_DEPTH // 3 - 1), ("i2", MAX_DEPTH - 2), ("qbad", MAX_DEPTH // 2 - 1))
     for name, size in largest:
         families.check_family_size(name, size)
 
@@ -458,9 +459,11 @@ def test_weight_at_the_depth_limit_is_accepted(capsys):
 # SHA-256 of stdout for a fixed command list, each recorded before the change
 # it guards: the first seven with the implementation that reduced each
 # pair-map slice three times (rank, kernel HNF, Smith form), the next eight
-# with the bracket that reduced over every word of its bidegree, the last
-# four with the normalize that reduced over every word.  Any change to a
-# printed number or to the formatting breaks the match.
+# with the bracket that reduced over every word of its bidegree, the next
+# four with the normalize that reduced over every word, and the last, a
+# slice whose unit-pivot pass leaves rows over, with the echelon that then
+# reduced the whole matrix again.  Any change to a printed number or to the
+# formatting breaks the match.
 GOLDEN_STDOUT = [
     (("kernel", "5", "5", "--certify"),
      "dd8be87e1b65d8ed6e2d62aed4fba6358d02b954fc8ac2d4020adca688572b52"),
@@ -501,6 +504,8 @@ GOLDEN_STDOUT = [
      "f46828e65782611d6913305ee80872b732244fd971032228407dd038906a5baf"),
     (("normalize", "[a" + ",b" * MAX_DEPTH + "]"),
      "ada3e7ff99bb9b2eb3307f9ba42e60434193d4a2db785b84a085268cc4b24afe"),
+    (("kernel", "3", "53", "--certify"),
+     "d459998ee881d3bfe8252b5e32d076e5237460c8d9ffa47410ec1271e5f50b75"),
 ]
 
 

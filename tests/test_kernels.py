@@ -7,7 +7,7 @@ import pytest
 
 from helpers import (
     block_bracket,
-    count_fallbacks,
+    core_shapes,
     reference_bracket,
     reference_echelon,
     reference_letter_column,
@@ -335,13 +335,22 @@ def test_a_corrupted_pair_matrix_is_caught_by_verification(monkeypatch):
 
 
 def test_echelon_matches_the_hnf_reference_on_pair_maps_up_to_weight_14(monkeypatch):
-    fallbacks = count_fallbacks(monkeypatch)
+    shapes = core_shapes(monkeypatch)
     for n in range(1, 15):
         for k in range(n + 1):
             matrix = pair_matrix(k, n - k).matrix
             assert echelon(matrix) == reference_echelon(matrix), (k, n - k)
-    # Only the weight-1 slices, whose domain is empty, have no unit pivots.
-    assert fallbacks == [(1, 0), (1, 0)]
+            # Past weight 1 every row takes a unit pivot, so the core has no
+            # rows; the weight-1 slices have one row and an empty domain.
+            core = (1, 0) if n == 1 else (0, matrix.cols - matrix.rows)
+            assert shapes == [core], (k, n - k)
+            shapes.clear()
+    # Two slices where some rows take no unit pivot and form the core.
+    for (k, l), core in (((3, 53), (4, 13)), ((5, 15), (1, 42))):
+        matrix = pair_matrix(k, l).matrix
+        assert echelon(matrix) == reference_echelon(matrix), (k, l)
+        assert shapes == [core], (k, l)
+        shapes.clear()
 
 
 def test_kernel_certificate_counts_match_bookkeeping():

@@ -1,13 +1,15 @@
-"""The echelon pass, its Hermite fallback and lattice comparisons over the integers.
+"""The echelon pass, the Hermite form of its core and lattice comparisons over the integers.
 
 The Smith normal form and the ranks used as witnesses here are the
 test-only references in ``helpers``.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import count_fallbacks, reference_echelon, reference_smith_invariants
+from helpers import core_shapes, reference_echelon, reference_smith_invariants
 from liering import zlinalg
 from liering.zlinalg import (
     IntMatrix,
@@ -126,21 +128,38 @@ def test_echelon_refuses_a_vector_off_the_kernel(monkeypatch, wrong):
 
 
 @pytest.mark.parametrize(
-    "entries, fallbacks",
+    "entries, core",
     [
-        ([[1, 0, 2, 0], [0, 1, -1, 3], [0, 0, 1, 1]], 0),  # unit pivots throughout
-        ([[2, -2, 0, 2], [0, 2, 2, -2]], 1),  # no unit entry at all
-        ([[1, 0, 1, 2], [0, 0, 0, 0]], 1),  # a zero row
-        ([[1, -1, 0, 2], [1, -1, 0, 2]], 1),  # two equal rows: one empties
-        ([[2, 3]], 1),  # onto Z, but not by a unit pivot
+        ([[1, 0, 2, 0], [0, 1, -1, 3], [0, 0, 1, 1]], (0, 1)),  # unit pivots throughout
+        ([[2, -2, 0, 2], [0, 2, 2, -2]], (2, 4)),  # no unit entry at all
+        ([[1, 0, 1, 2], [0, 0, 0, 0]], (1, 3)),  # a zero row
+        ([[1, -1, 0, 2], [1, -1, 0, 2]], (1, 3)),  # two equal rows: one empties
+        ([[2, 3]], (1, 2)),  # onto Z, but not by a unit pivot
+        ([[2, 3], [1, 1]], (0, 0)),  # row 0 has a unit once row 1 clears column 0
     ],
-    ids=["units", "all-even", "zero-row", "equal-rows", "no-unit-onto"],
+    ids=["units", "all-even", "zero-row", "equal-rows", "no-unit-onto", "unit-after-a-pivot"],
 )
-def test_echelon_falls_back_to_the_hnf_without_unit_pivots(monkeypatch, entries, fallbacks):
-    calls = count_fallbacks(monkeypatch)
+def test_echelon_falls_back_to_the_hnf_without_unit_pivots(monkeypatch, entries, core):
+    # Only the rows left without a unit pivot reach the HNF pass, as a core
+    # on the columns that took no pivot; the pass sees no other matrix.  A
+    # row with no unit entry when its turn comes is taken up again once a
+    # pivot changes it.
+    calls = core_shapes(monkeypatch)
     m = IntMatrix(entries)
     assert echelon(m) == reference_echelon(m)
-    assert len(calls) == fallbacks
+    assert calls == [core]
+
+
+def test_echelon_pivots_are_the_unit_pivots_then_the_core_pivots(monkeypatch):
+    # Row 1 takes column 0, and row 0, with no unit entry, is the core on
+    # column 1.  HNF(M^T) has the same pivots in the other order: both count
+    # the rank and multiply to the index of the image.
+    calls = core_shapes(monkeypatch)
+    m = IntMatrix([[0, 2], [1, 1]])
+    ech = echelon(m)
+    assert (ech.rank, ech.pivots) == (2, (1, 2))
+    assert reference_echelon(m).pivots == (2, 1)
+    assert calls == [(1, 1)]
 
 
 SPARSE_ENTRIES = (0,) * 8 + (-3, -2, -1, 1, 2, 3)
@@ -158,7 +177,15 @@ sparse_matrices = st.integers(min_value=0, max_value=12).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(sparse_matrices)
 def test_echelon_matches_the_hnf_reference_on_sparse_matrices(m):
-    assert echelon(m) == reference_echelon(m)
+    ech, ref = echelon(m), reference_echelon(m)
+    assert (ech.rank, ech.kernel) == (ref.rank, ref.kernel)
+    # The pivots of an echelon basis of the image: as many as the rank, all
+    # 1 exactly when M is onto, and at full rank the index of the image.
+    assert len(ech.pivots) == ech.rank
+    onto = ech.rank == m.rows and all(p == 1 for p in ech.pivots)
+    assert onto == (reference_smith_invariants(m) == (1,) * m.rows)
+    if ech.rank == m.rows:
+        assert math.prod(ech.pivots) == math.prod(ref.pivots)
 
 
 def test_kernel_is_pure():
@@ -209,7 +236,7 @@ matrices = st.integers(min_value=1, max_value=8).flatmap(
 @settings(max_examples=120, deadline=None)
 @given(matrices)
 def test_fuzz_hnf_and_kernel(entries):
-    # The HNF fallback on its own, with the Smith pivot search as witness.
+    # The whole-matrix HNF reference on its own, with the Smith pivot search as witness.
     m = IntMatrix(entries)
     ech = reference_echelon(m)
     lat = ech.kernel

@@ -27,10 +27,11 @@ from .oracle import oracle_check
 from .words import bracket_string, lyndon_bracket, lyndon_words
 
 # The largest slice a command takes on.  ``basis`` enumerates the words of
-# its bidegree to find the Lyndon ones; ``kernel`` and ``theta`` also build
-# the dense pair matrix, whose entries outgrow the words: below the weight
-# limit, a slice within MAX_PAIR_ENTRIES has at most 437989 words, at
-# (136, 3).  (9, 9) has 48620 words and 2700 x 2860 = 7722000 entries.
+# its bidegree to find the Lyndon ones; ``theta`` also prints the dense pair
+# matrix, whose entries outgrow the words: below the weight limit, a slice
+# within MAX_PAIR_ENTRIES has at most 437989 words, at (136, 3).  (9, 9) has
+# 48620 words and 2700 x 2860 = 7722000 entries.  ``kernel`` keeps the pair
+# matrix sparse, but takes the same limit until it is priced from closed forms.
 MAX_WORDS = 10**6
 MAX_PAIR_ENTRIES = 10**7
 

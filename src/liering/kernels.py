@@ -30,13 +30,7 @@ from .algebra import (
     check_weight,
 )
 from .words import BracketTree, is_lyndon, lyndon_bracket, lyndon_words
-from .zlinalg import (
-    Echelon,
-    IntMatrix,
-    KernelLattice,
-    echelon,
-    lattice_coordinates,
-)
+from .zlinalg import Echelon, IntMatrix, KernelLattice, echelon, lattice_coordinates
 
 
 @dataclass(frozen=True)
@@ -119,17 +113,13 @@ def pair_matrix(k: int, l: int) -> PairMatrix:
     dom_b = _slice_basis(k, l - 1)
     codomain = _slice_basis(k, l)
     position = {w: i for i, w in enumerate(codomain)}
-    columns = []
-    for words, letter, bd in ((dom_a, "a", (k - 1, l)), (dom_b, "b", (k, l - 1))):
-        for w in words:
-            image = bracket_with_letter(LieElement._make(bd, {w: 1}), letter)
-            column = [0] * len(codomain)
-            for word, c in image.coeffs.items():
-                column[position[word]] = c
-            columns.append(column)
-    entries = [[col[i] for col in columns] for i in range(len(codomain))]
-    matrix = IntMatrix(entries, cols=len(columns))
     domain = tuple((w, "a") for w in dom_a) + tuple((w, "b") for w in dom_b)
+    rows: list[dict[int, int]] = [{} for _ in codomain]
+    for j, (w, letter) in enumerate(domain):
+        bd = (k - 1, l) if letter == "a" else (k, l - 1)
+        for word, c in bracket_with_letter(LieElement._make(bd, {w: 1}), letter).coeffs.items():
+            rows[position[word]][j] = c
+    matrix = IntMatrix.from_sparse(rows, len(domain))
     return PairMatrix(k, l, domain, codomain, matrix)
 
 
@@ -340,7 +330,7 @@ def check_surjective(k: int, l: int) -> SurjectivityReport:
     """
     if k + l < 2:
         raise ValueError(f"surjectivity check needs weight >= 2, got ({k}, {l})")
-    rows = pair_matrix(k, l).matrix.rows
+    rows = len(pair_matrix(k, l).codomain)
     ech = _pair_echelon(k, l)
     if ech.rank != rows or any(p != 1 for p in ech.pivots):
         raise InconsistencyError(

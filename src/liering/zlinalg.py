@@ -2,13 +2,14 @@
 matrix, and canonical bases of integer kernel lattices.
 
 Everything works on arbitrary-precision Python integers; there is no
-floating point anywhere.  There are two elimination loops.
-``_row_echelon`` is a dense row Hermite normal form: positive pivots,
-entries above each pivot reduced into [0, pivot), nonzero rows first.
-Pivots of minimal absolute value keep intermediate entries small in
-practice (with exact arithmetic this is a performance choice only).  Since
-HNF is unique per row lattice, canonicalizing a basis makes lattice
-equality a plain comparison.  ``_unit_pivot_pass`` is a sparse
+floating point anywhere.  ``IntMatrix`` keeps the nonzero entries of each
+row and builds its dense rows only when they are read.  There are two
+elimination loops.  ``_row_echelon`` is a dense row Hermite normal form:
+positive pivots, entries above each pivot reduced into [0, pivot), nonzero
+rows first.  Pivots of minimal absolute value keep intermediate entries
+small in practice (with exact arithmetic this is a performance choice
+only).  Since HNF is unique per row lattice, canonicalizing a basis makes
+lattice equality a plain comparison.  ``_unit_pivot_pass`` is a sparse
 elimination that takes only pivots of +1 or -1, so it never divides; the
 rows it cannot pivot that way are left, on the columns that took no
 pivot, as a small core that ``_hnf_pass`` reduces with ``_row_echelon``.
@@ -16,7 +17,8 @@ pivot, as a small core that ``_hnf_pass`` reduces with ``_row_echelon``.
 ``echelon`` is the one pass per matrix the rest of the package needs: the
 rank of M, the pivots that decide whether M maps onto Z^rows, and the
 kernel of M, all from ``_unit_pivot_pass``.  The kernel is canonicalized
-with ``_row_echelon`` and re-checked against M.
+with ``_row_echelon`` and re-checked against the sparse rows of M; only
+the core is ever dense.
 """
 
 from __future__ import annotations
@@ -27,9 +29,14 @@ from typing import Iterable, Sequence
 
 
 class IntMatrix:
-    """A dense matrix of Python integers."""
+    """A matrix of Python integers, stored as the nonzero entries of each row.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``sparse_rows`` holds, for each row, its nonzero (column, entry) pairs
+    in ascending column order, as tuples.  ``entries``, the dense rows, is
+    built on first read and kept; callers must not edit it.
+    """
+
+    __slots__ = ("rows", "cols", "sparse_rows", "_entries")
 
     def __init__(self, entries: Sequence[Sequence[int]], cols: int | None = None):
         data = [list(row) for row in entries]
@@ -43,29 +50,40 @@ class IntMatrix:
             cols = width
         elif cols is None:
             raise ValueError("an empty matrix needs an explicit column count")
-        for row in data:
-            for value in row:
-                if not isinstance(value, int):
-                    raise TypeError(f"matrix entries must be int, got {value!r}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = data
+        for bad in (v for row in data for v in row if not isinstance(v, int)):
+            raise TypeError(f"matrix entries must be int, got {bad!r}")
+        self.rows, self.cols, self._entries = rows, cols, data
+        self.sparse_rows = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in data)
+
+    @classmethod
+    def from_sparse(cls, rows: Sequence[dict[int, int]], cols: int) -> IntMatrix:
+        """The rows x cols matrix whose row i has the entries {column: entry} of rows[i]."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._entries = len(rows), cols, None
+        m.sparse_rows = tuple(tuple(sorted((j, v) for j, v in row.items() if v)) for row in rows)
+        return m
+
+    @property
+    def entries(self) -> list[list[int]]:
+        if self._entries is None:
+            self._entries = self._dense()
+        return self._entries
+
+    def _dense(self) -> list[list[int]]:
+        return [[r.get(j, 0) for j in range(self.cols)] for r in map(dict, self.sparse_rows)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.entries == other.entries
+        return (self.rows, self.cols, self.sparse_rows) == (other.rows, other.cols, other.sparse_rows)
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, {self.entries})"
 
     def to_record(self) -> dict:
         """Portable record: shape plus row-major decimal entry strings."""
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [str(v) for row in self.entries for v in row],
-        }
+        return {"rows": self.rows, "cols": self.cols,
+                "entries": [str(v) for row in self.entries for v in row]}
 
 
 def _row_echelon(mat: list[list[int]], cols: int) -> int:
@@ -176,12 +194,13 @@ def _hnf_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
 def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
     """Image pivots and kernel generators of M: unit pivots, then an HNF core.
 
-    The rows are kept as sparse dicts.  The shortest live row is taken
-    next, and in it the +1 or -1 entry whose column has the fewest live
-    rows (Markowitz pivoting), ties going to the lower row and column, so
-    the order is fixed.  That column is then cleared from the other live
-    rows, which go back on the heap.  A row that is empty or has no unit
-    entry when its turn comes stays live, unpivoted, until a pivot changes it.
+    It works on dicts copied from M's sparse rows, which stay as they are.
+    The shortest live row is taken next, and in it the +1 or -1 entry whose
+    column has the fewest live rows (Markowitz pivoting), ties going to the
+    lower row and column, so the order is fixed.  That column is then
+    cleared from the other live rows, which go back on the heap.  A row
+    that is empty or has no unit entry when its turn comes stays live,
+    unpivoted, until a pivot changes it.
 
     Each step adds integer multiples of a pivot row to other rows, a
     unimodular operation, and each pivot row has a unit in its own column
@@ -194,7 +213,7 @@ def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
     coordinates in reverse pivot order; since the pivots are units, this
     maps ker S one to one onto ker M, so the results span the full kernel.
     """
-    rows = [{j: c for j, c in enumerate(row) if c} for row in m.entries]
+    rows = [dict(row) for row in m.sparse_rows]
     holders: dict[int, set[int]] = {}  # column -> live rows with an entry in it
     for i, row in enumerate(rows):
         for j in row:
@@ -265,9 +284,8 @@ def echelon(m: IntMatrix) -> Echelon:
     if lattice.rank != len(generators):
         raise AssertionError("kernel generators were not independent")
     # M is sparse, so each row is checked on its nonzero entries only.
-    sparse_rows = [[(j, c) for j, c in enumerate(row) if c] for row in m.entries]
     for vector in lattice.basis:
-        if any(sum(c * vector[j] for j, c in row) for row in sparse_rows):
+        if any(sum(c * vector[j] for j, c in row) for row in m.sparse_rows):
             raise AssertionError("computed kernel vector does not annihilate the matrix")
     return Echelon(len(pivots), pivots, lattice)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from liering import algebra, cli, dims, families, kernels, oracle, words
+from liering import algebra, cli, dims, families, kernels, oracle, words, zlinalg
 from liering.algebra import MAX_DEPTH
 from liering.cli import main
 from liering.families import i33_certificate
@@ -514,6 +514,49 @@ def test_golden_stdout(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+# SHA-256 of the stdout of every command of a list, one after another,
+# recorded before the pair map was stored as sparse rows: ``kernel K L
+# --certify`` on each of the 117 slices of weight 2 to 14, and ``theta K L``
+# on each slice of weight 1 to 10.
+SWEEP_STDOUT = {
+    "kernel": ([("kernel", str(k), str(n - k), "--certify")
+                for n in range(2, 15) for k in range(n + 1)],
+               "4d24336809024c83742b3e09773264a8c8fbcaa0f6ffab34d1ddcc48ca6b21b6"),
+    "theta": ([("theta", str(k), str(n - k)) for n in range(1, 11) for k in range(n + 1)],
+              "291bb348ffc65dd832b7116e1c49e9e51f12a7e96d6a4b057c49264792cfd97e"),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_STDOUT)
+def test_sweep_stdout(capsys, name):
+    commands, digest = SWEEP_STDOUT[name]
+    sha = hashlib.sha256()
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        sha.update(out.encode("utf-8"))
+    assert sha.hexdigest() == digest
+
+
+def test_kernel_never_builds_the_dense_pair_matrix(capsys, monkeypatch):
+    # Only ``theta`` prints the dense record; the kernel, its certificates
+    # and the surjectivity check read the sparse rows.
+    for cache in (kernels.pair_matrix, kernels._pair_echelon, kernels.kernel_certificates):
+        cache.cache_clear()
+
+    def no_dense(self):
+        raise AssertionError("the dense pair matrix was built")
+
+    monkeypatch.setattr(zlinalg.IntMatrix, "_dense", no_dense)
+    code, out, _ = run(capsys, "kernel", "8", "8", "--certify")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "3083ffb91bf39b9a9ead2c1cb4aa9fe7f1133e34f24a08a37de656c68ee7cf91")
+    assert kernels.check_surjective(8, 8).surjective
+    with pytest.raises(AssertionError, match="dense pair matrix was built"):
+        run(capsys, "theta", "8", "8")
 
 
 # SHA-256 of the stdout of ``verify FILE --oracle``, recorded before the

@@ -85,6 +85,16 @@ def test_pair_matrix_matches_the_block_solve_up_to_weight_14():
     assert columns == 2754
 
 
+def test_pair_echelon_leaves_the_cached_pair_matrix_as_it_was():
+    for k, l in ((4, 4), (3, 53)):
+        matrix = pair_matrix(k, l).matrix
+        rows = [dict(row) for row in matrix.sparse_rows]
+        kernels._pair_echelon.cache_clear()
+        kernels._pair_echelon(k, l)
+        assert pair_matrix(k, l).matrix is matrix
+        assert [dict(row) for row in matrix.sparse_rows] == rows, (k, l)
+
+
 def test_pair_matrix_errors():
     with pytest.raises(ValueError):
         pair_matrix(0, 0)

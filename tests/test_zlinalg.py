@@ -110,11 +110,14 @@ def test_echelon_examples():
     assert ech.kernel.basis == ((1, 0), (0, 1))
 
 
-@pytest.mark.parametrize("wrong", [(1, 0, 0, 0, 0), (0, 0, 0, 1, 1), (0, 1, 0, 0, -1)])
+@pytest.mark.parametrize(
+    "wrong", [(1, 0, 0, 0, 0), (0, 0, 0, 1, 1), (0, 1, 0, 0, -1), (0, 0, 1, 0, 0)]
+)
 def test_echelon_refuses_a_vector_off_the_kernel(monkeypatch, wrong):
     # The annihilation check reads only the nonzero entries of each row, so
-    # a wrong vector must still be caught whichever entry it spoils.
-    m = IntMatrix([[0, 2, 0, 0, 1], [1, 0, 0, 3, 0], [0, 0, 0, 0, 0]])
+    # a wrong vector must still be caught whichever entry it spoils, also
+    # one that only the row with a single entry sees.
+    m = IntMatrix([[0, 2, 0, 0, 1], [1, 0, 0, 3, 0], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0]])
     assert not any(apply(m, echelon(m).kernel.basis[0])) and any(apply(m, wrong))
     real = zlinalg.canonical_lattice
 
@@ -211,6 +214,30 @@ def test_lattice_coordinates():
     assert lattice_coordinates(lat, (1, 0, 0)) is None
     with pytest.raises(ValueError):
         lattice_coordinates(lat, (1, 0))
+
+
+def test_matrix_keeps_the_nonzeros_of_each_row():
+    dense = [[0, -2, 0, 5], [0, 0, 0, 0], [-1, 0, 3, 0]]
+    m = IntMatrix(dense)
+    assert m.sparse_rows == (((1, -2), (3, 5)), (), ((0, -1), (2, 3)))
+    assert m.entries == dense
+    # Keys in any order and explicit zeros give the same rows; the dense
+    # rows are built on first read, once.
+    sparse = IntMatrix.from_sparse([{3: 5, 1: -2}, {2: 0}, {2: 3, 0: -1}], cols=4)
+    assert sparse == m and sparse.sparse_rows == m.sparse_rows
+    assert (sparse.rows, sparse.cols, sparse.entries) == (3, 4, dense)
+    assert sparse.entries is sparse.entries
+    empty = IntMatrix([], cols=3)
+    assert (empty.rows, empty.cols, empty.sparse_rows, empty.entries) == (0, 3, (), [])
+    assert IntMatrix.from_sparse([], cols=3) == empty
+    assert IntMatrix.from_sparse([{}], cols=0) == IntMatrix([[]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices)
+def test_matrix_from_sparse_rows_equals_the_dense_one(m):
+    copy = IntMatrix.from_sparse([dict(row) for row in m.sparse_rows], m.cols)
+    assert copy == m and copy.entries == m.entries
 
 
 def test_matrix_validation():

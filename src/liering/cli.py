@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode
 
 from . import dims
 from .algebra import InconsistencyError, check_weight, normalize, parse_expr
@@ -52,8 +53,31 @@ def check_pair_entries(k: int, l: int) -> None:
                          f"more than the limit of {MAX_PAIR_ENTRIES}")
 
 
+def _json_text(data, indent: str = "\n") -> str:
+    """``json.dumps(data, indent=2)``, byte for byte, for JSON values with string keys."""
+    if not isinstance(data, (dict, list, tuple)):
+        return json.dumps(data)
+    brackets = "{}" if isinstance(data, dict) else "[]"
+    if not data:
+        return brackets
+    inner = indent + "  "
+    if isinstance(data, dict):
+        items = (f"{_encode(key)}: {_json_text(value, inner)}" for key, value in data.items())
+    elif all(isinstance(item, str) for item in data):
+        items = map(_encode, data)
+    else:
+        items = (_json_text(item, inner) for item in data)
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _emit_json(data, out=None) -> None:
-    text = json.dumps(data, indent=2)
+    """Print ``json.dumps(data, indent=2)``, or write it to the file ``out``.
+
+    With ``indent``, ``json.dumps`` runs the pure-Python encoder, so
+    ``_json_text`` writes the same bytes: one ``join`` per container, the C
+    ``encode_basestring_ascii`` for lists of strings, ``json.dumps`` for scalars.
+    """
+    text = _json_text(data)
     if out is None:
         print(text)
     else:

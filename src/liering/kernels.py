@@ -29,7 +29,7 @@ from .algebra import (
     bracket_with_letter,
     check_weight,
 )
-from .words import BracketTree, is_lyndon, lyndon_bracket, lyndon_words
+from .words import BracketTree, _is_lyndon_ab, lyndon_bracket, lyndon_words
 from .zlinalg import Echelon, IntMatrix, KernelLattice, echelon, lattice_coordinates
 
 
@@ -160,7 +160,7 @@ def _lyndon_key(word: str) -> str | None:
     (k, l) start with a and end with b, so the cache holds at most
     C(k+l-2, k-1) of them, and the many pairs that meet one share a key.
     """
-    return word if is_lyndon(word) else None
+    return word if _is_lyndon_ab(word) else None
 
 
 def _groups(terms: dict[BracketTree, int]) -> Iterator[tuple[dict, dict, int]]:
@@ -199,7 +199,12 @@ def _letter_image(out: dict, coeffs: dict[str, int], letter: str) -> dict:
     never built: for each of the ``_groups`` the walk takes the pairs of P_u
     and Q_u both ways round, only left words starting with a (x = b) or
     right words ending with b (x = a), and tests each extended word with
-    ``_lyndon_key``.  The coefficients may be packed.
+    ``_lyndon_key``.  Each side is listed once, its head a or tail b on.  The
+    walk fixes each word of the shorter side, scaling by its coefficient,
+    and sweeps the longer one (the a-group pairs {a: 1} with all of Q_a):
+    one comprehension and one ``_accumulate`` call per fixed word, and as
+    concatenation with a fixed word is injective, no comprehension merges
+    two terms.  The coefficients may be packed.
     """
     trees = {}
     for word, c in coeffs.items():
@@ -208,19 +213,22 @@ def _letter_image(out: dict, coeffs: dict[str, int], letter: str) -> dict:
         elif word != letter:  # [b, a] = -[ab], [a, b] = [ab]
             _accumulate(out, {"ab": 1 if letter == "b" else -1}, c)
     for p, q, scale in _groups(trees):
-        for left, right, sign in ((p, q, scale), (q, p, -scale)):
-            if letter == "b":
-                left = {w: c for w, c in left.items() if w[0] == "a"}
-                head, tail = "", "b"
+        if letter == "b":
+            lefts = [[(w, c) for w, c in x.items() if w[0] == "a"] for x in (p, q)]
+            rights = [[(t + "b", c) for t, c in x.items()] for x in (p, q)]
+        else:
+            lefts = [[("a" + w, c) for w, c in x.items()] for x in (p, q)]
+            rights = [[(t, c) for t, c in x.items() if t[-1] == "b"] for x in (p, q)]
+            scale = -scale
+        for left, right, sign in ((lefts[0], rights[1], scale), (lefts[1], rights[0], -scale)):
+            if len(left) <= len(right):
+                for w, cw in left:
+                    _accumulate(out, {key: ct for t, ct in right
+                                      if (key := _lyndon_key(w + t)) is not None}, sign * cw)
             else:
-                right = {t: c for t, c in right.items() if t[-1] == "b"}
-                head, tail, sign = "a", "", -sign
-            for w, cw in left.items():
-                # For a fixed w, t -> wt is injective, so no comprehension merges two terms.
-                prefix = head + w
-                hits = {key: ct for t, ct in right.items()
-                        if (key := _lyndon_key(prefix + t + tail)) is not None}
-                _accumulate(out, hits, sign * cw)
+                for t, ct in right:
+                    _accumulate(out, {key: cw for w, cw in left
+                                      if (key := _lyndon_key(w + t)) is not None}, sign * ct)
     return out
 
 
@@ -233,9 +241,9 @@ def verify_certificates(certs: Iterable[IdentityCertificate]) -> tuple[bool, ...
     Lyndon block of the basis expansion being unit triangular (Reutenauer,
     *Free Lie Algebras*, Ch. 4-5).  ``_letter_image`` reads them off the
     associative expansions of left standard factors and lone right factors,
-    testing words with ``is_lyndon``: it shares no code with the rewriting
-    (``algebra._prod``) that computed the kernel vectors, and lists no
-    bidegree.
+    testing words with Duval's scan (``is_lyndon`` less the alphabet check,
+    as its words are made of a and b): it shares no code with the rewriting
+    (``algebra._prod``) that computed the kernel vectors, nor lists a bidegree.
 
     The batch is one image: each word of A or B carries the packed
     coefficient sum_t c_t 2^(W t), so slot t of the image at a Lyndon word

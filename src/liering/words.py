@@ -80,6 +80,11 @@ def is_lyndon(word: str) -> bool:
     end with a period of the whole length (k = 0).
     """
     _check_word(word)
+    return _is_lyndon_ab(word)
+
+
+def _is_lyndon_ab(word: str) -> bool:
+    """``is_lyndon`` without the alphabet check, for nonempty words built from a and b."""
     k = 0
     for j in range(1, len(word)):
         if word[k] < word[j]:
@@ -117,8 +122,8 @@ def lyndon_words(k: int, l: int) -> tuple[str, ...]:
     a smaller rotation or suffix), so only the C(k+l-2, k-1) words a...b are tested.
     """
     if k < 1 or l < 1 or k + l == 2:  # ab, a power of one letter, or refused
-        return tuple(w for w in all_words(k, l) if is_lyndon(w))
-    return tuple(w for w in ("a" + v + "b" for v in all_words(k - 1, l - 1)) if is_lyndon(w))
+        return tuple(w for w in all_words(k, l) if _is_lyndon_ab(w))
+    return tuple(w for w in ("a" + v + "b" for v in all_words(k - 1, l - 1)) if _is_lyndon_ab(w))
 
 
 def standard_factorization(word: str) -> tuple[str, str]:

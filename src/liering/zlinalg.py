@@ -277,16 +277,25 @@ def echelon(m: IntMatrix) -> Echelon:
 
     The generators of the full integer kernel from ``_unit_pivot_pass``
     are canonicalized, and every returned kernel vector is re-checked
-    against M exactly.
+    against M exactly, all at once: one packed product per sparse row.
     """
     pivots, generators = _unit_pivot_pass(m)
     lattice = canonical_lattice(m.cols, generators)
     if lattice.rank != len(generators):
         raise AssertionError("kernel generators were not independent")
-    # M is sparse, so each row is checked on its nonzero entries only.
-    for vector in lattice.basis:
-        if any(sum(c * vector[j] for j, c in row) for row in m.sparse_rows):
-            raise AssertionError("computed kernel vector does not annihilate the matrix")
+    # Column j packs entry j of vector t into slot t, W bits wide, so slot t
+    # of a row's product is d_t = row . v_t, with |d_t| <= max|v| *
+    # ||row||_1 < 2^(W-2).  If the product were 0 with some d_t nonzero, the
+    # lowest such t would make d_t divisible by 2^W, which |d_t| < 2^W
+    # forbids; so the product is 0 exactly when every slot is.
+    top = max((max(map(abs, vector)) for vector in lattice.basis), default=0)
+    norm = max((sum(abs(c) for _, c in row) for row in m.sparse_rows), default=0)
+    width = (top * norm).bit_length() + 2
+    columns = [0] * m.cols
+    for vector in reversed(lattice.basis):  # Horner: vector t lands in slot t
+        columns = [(c << width) + v for c, v in zip(columns, vector)]
+    if any(sum(c * columns[j] for j, c in row) for row in m.sparse_rows):
+        raise AssertionError("computed kernel vector does not annihilate the matrix")
     return Echelon(len(pivots), pivots, lattice)
 
 

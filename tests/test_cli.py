@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -538,6 +539,73 @@ def test_sweep_stdout(capsys, name):
         assert code == 0, argv
         sha.update(out.encode("utf-8"))
     assert sha.hexdigest() == digest
+
+
+def test_report_writer_matches_json_dumps_on_every_report(capsys, monkeypatch):
+    # Every report of the golden list and of both sweeps, written without
+    # ``json.dumps(..., indent=...)`` (its pure-Python encoder), must be the
+    # text that call gives on the same data.
+    reports = []
+    real_text, real_dumps = cli._json_text, json.dumps
+
+    def json_text(data, indent="\n"):
+        text = real_text(data, indent)
+        if indent == "\n":
+            reports.append((data, text))
+        return text
+
+    def dumps(obj, **options):
+        assert options.get("indent") is None, "the report went through the pure-Python encoder"
+        return real_dumps(obj, **options)
+
+    monkeypatch.setattr(cli, "_json_text", json_text)
+    monkeypatch.setattr(json, "dumps", dumps)
+    commands = [argv for argv, _ in GOLDEN_STDOUT]
+    commands += [argv for sweep, _ in SWEEP_STDOUT.values() for argv in sweep]
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+    monkeypatch.undo()
+    assert len(reports) == len(commands) - 4  # four golden commands print LaTeX or a table
+    for data, text in reports:
+        assert text == json.dumps(data, indent=2)
+
+
+def _random_string(rng):
+    """Up to five characters, some needing escapes, some outside ASCII."""
+    chars = ["a", "b", " ", '"', "\\", "\n", "\t", "\x00", "\x7f", "é", "中", "\U0001d11e"]
+    return "".join(rng.choice(chars) for _ in range(rng.randrange(6)))
+
+
+def _random_json(rng, depth=0):
+    """A random JSON value of string keys, nested at most four deep."""
+    pick = rng.randrange(8 if depth < 4 else 5)
+    if pick == 0:
+        return rng.choice([None, True, False])
+    if pick == 1:
+        return rng.choice([0, -1, 2**64, -(3**90), rng.randint(-10**6, 10**6)])
+    if pick < 5:
+        return _random_string(rng)
+    size = rng.choice([0, 0, 1, 2, 3, 5])
+    if pick == 5:
+        return {_random_string(rng): _random_json(rng, depth + 1) for _ in range(size)}
+    if pick == 6:
+        return [_random_json(rng, 4) for _ in range(size)]  # scalars only, often all strings
+    return [_random_json(rng, depth + 1) for _ in range(size)]
+
+
+def test_report_writer_matches_json_dumps_on_random_values(capsys, tmp_path):
+    rng = random.Random(1800)
+    values = [[], {}, [[]], {"": {}}, [{}, [], ""], ["\u2028", "\ud800"], 2**64 + 1]
+    values += [_random_json(rng) for _ in range(3000)]
+    for value in values:
+        assert cli._json_text(value) == json.dumps(value, indent=2), value
+    assert any(isinstance(v, list) and v and all(isinstance(x, str) for x in v) for v in values)
+    # ``theta --out`` writes the text ``theta`` prints.
+    target = tmp_path / "theta.json"
+    assert run(capsys, "theta", "3", "3", "--out", str(target))[:2] == (0, "")
+    code, out, _ = run(capsys, "theta", "3", "3")
+    assert target.read_text(encoding="utf-8") == out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_kernel_never_builds_the_dense_pair_matrix(capsys, monkeypatch):

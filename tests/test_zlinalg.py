@@ -111,19 +111,47 @@ def test_echelon_examples():
 
 
 @pytest.mark.parametrize(
-    "wrong", [(1, 0, 0, 0, 0), (0, 0, 0, 1, 1), (0, 1, 0, 0, -1), (0, 0, 1, 0, 0)]
+    "wrong, slot",
+    [pytest.param(w, 0, id=f"wrong{i}")
+     for i, w in enumerate([(1, 0, 0, 0, 0), (0, 0, 0, 1, 1), (0, 1, 0, 0, -1), (0, 0, 1, 0, 0)])]
+    + [pytest.param((0, 1, 0, 0, -1), 2, id="wrong4")],
 )
-def test_echelon_refuses_a_vector_off_the_kernel(monkeypatch, wrong):
+def test_echelon_refuses_a_vector_off_the_kernel(monkeypatch, wrong, slot):
     # The annihilation check reads only the nonzero entries of each row, so
     # a wrong vector must still be caught whichever entry it spoils, also
-    # one that only the row with a single entry sees.
+    # one that only the row with a single entry sees.  The check packs the
+    # kernel vectors into slots of one integer, so a wrong vector in a
+    # middle slot must be caught too: two zero columns give the kernel the
+    # unit vectors on them, four vectors in all.
     m = IntMatrix([[0, 2, 0, 0, 1], [1, 0, 0, 3, 0], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0]])
-    assert not any(apply(m, echelon(m).kernel.basis[0])) and any(apply(m, wrong))
+    if slot:
+        m = IntMatrix([row + [0, 0] for row in m.entries])
+        wrong += (0, 0)
+    basis = echelon(m).kernel.basis
+    assert len(basis) > slot + 1 and not any(any(apply(m, v)) for v in basis)
+    assert any(apply(m, wrong))
     real = zlinalg.canonical_lattice
 
     def spoiled(ambient, vectors):
         lat = real(ambient, vectors)
-        return KernelLattice(ambient, (wrong,) + lat.basis[1:], canonical=True)
+        return KernelLattice(ambient, lat.basis[:slot] + (wrong,) + lat.basis[slot + 1 :],
+                             canonical=True)
+
+    monkeypatch.setattr(zlinalg, "canonical_lattice", spoiled)
+    with pytest.raises(AssertionError, match="does not annihilate"):
+        echelon(m)
+
+
+def test_echelon_refuses_slots_that_cancel_across_the_packing(monkeypatch):
+    # Row . v_0 = 8 and row . v_1 = -1: with slots 3 bits wide, wide enough
+    # for the entries but not for the row's l1-norm 8, the packed product
+    # 8 - 1 * 2^3 would be 0.  The slot width counts the norm, so it is not.
+    m = IntMatrix([[1] * 8])
+    real = zlinalg.canonical_lattice
+
+    def spoiled(ambient, vectors):
+        lat = real(ambient, vectors)
+        return KernelLattice(ambient, ((1,) * 8, (-1,) + (0,) * 7) + lat.basis[2:], canonical=True)
 
     monkeypatch.setattr(zlinalg, "canonical_lattice", spoiled)
     with pytest.raises(AssertionError, match="does not annihilate"):

@@ -16,7 +16,7 @@ associative ring and no word list is enumerated, so the cost follows the
 words reached, not the size of the bidegree.
 
 ``_prod(u, v)``, the rewritten product, is memoized for the life of the
-process, and so is ``_factor``, the standard factorization it reads.  The
+process, and so is ``words.standard_factorization``, which it reads.  The
 memo holds one dict per pair of Lyndon words reached, with at most dim
 L_{k,l} entries: 4130 pairs for the pair matrix of (8, 8) and 13901 for
 (9, 9), about 5 MB, in fresh processes.  The pairs recur: the 2000
@@ -34,10 +34,11 @@ which reads it only for the left standard factors of the words it checks
 and for right factors alone in their group, so no such word is expanded.
 
 Every sum of word or tree dicts goes through ``_accumulate(out, terms,
-scale)``, which adds scale * terms into ``out`` in place, and every
-scale * (xy - yx) on word dicts through ``_commutator(x, y, scale, out)``.
-The caller owns ``out``: it is a fresh dict or a copy, never a dict cached
-by ``_tree_poly`` or ``_prod``.
+scale)``, which adds scale * terms into ``out`` in place; the caller owns
+``out``: it is a fresh dict or a copy, never a dict cached by
+``_tree_poly`` or ``_prod``.  Every product of word dicts goes through
+``_commutators(groups)``, which returns the sum of scale * (xy - yx) over
+its (x, y, scale) triples as a new dict and leaves x and y alone.
 
 Coefficients are plain Python integers throughout; nothing here ever
 rounds or overflows.  All public functions are pure, and the internal
@@ -113,25 +114,32 @@ def _accumulate(out: dict, terms: Mapping, scale: int = 1) -> dict:
     return out
 
 
-def _commutator(p: Mapping[str, int], q: Mapping[str, int], scale=1, out=None) -> dict:
-    """Add scale * (pq - qp) on word dicts into ``out``, a new dict by default."""
-    out = {} if out is None else out
-    # One _accumulate call per word of the shorter dict (qp - pq = -(pq - qp)):
-    # for a fixed w, u -> w + u and u -> u + w are injective, so no
-    # comprehension merges two terms.
-    short, other, sign = (p, q, scale) if len(p) <= len(q) else (q, p, -scale)
-    for w, cw in short.items():
-        _accumulate(out, {w + u: cu for u, cu in other.items()}, sign * cw)
-        _accumulate(out, {u + w: cu for u, cu in other.items()}, -sign * cw)
-    return out
+def _commutators(groups) -> dict:
+    """sum scale * (pq - qp) over the (p, q, scale) triples of word dicts, as a new dict."""
+    out: dict[str, int] = {}
+    get = out.get
+    for p, q, scale in groups:
+        # Fix the words of the shorter dict and sweep the longer (qp - pq = -(pq - qp)).
+        short, other, sign = (p, q, scale) if len(p) <= len(q) else (q, p, -scale)
+        for w, cw in short.items():
+            s = sign * cw
+            for u, cu in other.items():
+                t = s * cu
+                key = w + u
+                out[key] = get(key, 0) + t
+                key = u + w
+                out[key] = get(key, 0) - t
+    # Terms cancel only in the sum, so the zeros are dropped once, here.
+    return {w: c for w, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
 def _tree_poly(tree: BracketTree) -> dict[str, int]:
-    # Shared, never mutated: pass it to _accumulate as terms, never as out.
+    # Shared, never mutated: pass it to _accumulate as terms, never as out;
+    # [L, R] expands as the one group (P_L, P_R, 1).
     if isinstance(tree, Leaf):
         return {tree.letter: 1}
-    return _commutator(_tree_poly(tree.left), _tree_poly(tree.right))
+    return _commutators(((_tree_poly(tree.left), _tree_poly(tree.right), 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +390,6 @@ def basis_expansion(x: LieElement) -> BracketExpr:
 
 
 @lru_cache(maxsize=None)
-def _factor(word: str) -> tuple[str, str]:
-    """The standard factorization of a Lyndon word of length >= 2, memoized."""
-    return standard_factorization(word)
-
-
-@lru_cache(maxsize=None)
 def _prod(u: str, v: str) -> dict[str, int]:
     """Lyndon coordinates of [[u], [v]] for Lyndon words u < v.
 
@@ -403,7 +405,7 @@ def _prod(u: str, v: str) -> dict[str, int]:
     Shared: read it, never write to it.
     """
     if len(u) > 1:
-        u1, u2 = _factor(u)
+        u1, u2 = standard_factorization(u)
         if u2 < v:
             out: dict[str, int] = {}
             for w, c in _prod(u1, v).items():  # [[u1, v], u2]

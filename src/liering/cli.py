@@ -65,6 +65,12 @@ def _json_text(data, indent: str = "\n") -> str:
         items = (f"{_encode(key)}: {_json_text(value, inner)}" for key, value in data.items())
     elif all(isinstance(item, str) for item in data):
         items = map(_encode, data)
+    elif (all(isinstance(item, (list, tuple)) and item for item in data)
+          and all(isinstance(x, str) for item in data for x in item)):
+        # Certificate pairs and basis vectors: one join per inner list of strings.
+        deeper = inner + "  "
+        sep = "," + deeper
+        items = (f"[{deeper}{sep.join(map(_encode, item))}{inner}]" for item in data)
     else:
         items = (_json_text(item, inner) for item in data)
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
@@ -75,7 +81,8 @@ def _emit_json(data, out=None) -> None:
 
     With ``indent``, ``json.dumps`` runs the pure-Python encoder, so
     ``_json_text`` writes the same bytes: one ``join`` per container, the C
-    ``encode_basestring_ascii`` for lists of strings, ``json.dumps`` for scalars.
+    ``encode_basestring_ascii`` for lists of strings, one ``join`` per inner
+    list for lists of non-empty string lists, ``json.dumps`` for scalars.
     """
     text = _json_text(data)
     if out is None:

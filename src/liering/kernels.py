@@ -24,7 +24,7 @@ from .algebra import (
     InconsistencyError,
     LieElement,
     _accumulate,
-    _commutator,
+    _commutators,
     _tree_poly,
     bracket_with_letter,
     check_weight,
@@ -170,6 +170,7 @@ def _groups(terms: dict[BracketTree, int]) -> Iterator[tuple[dict, dict, int]]:
     P_u is the cached ``_tree_poly`` dict, and so is Q_u for a group of one
     tree, its coefficient the scale; a group of several, whose right factors
     share a bidegree of weight >= 2, is expanded by the same grouping, uncached.
+    The triples are the groups ``algebra._commutators`` sums.
     """
     groups: dict[BracketTree, dict[BracketTree, int]] = {}
     for tree, c in terms.items():
@@ -183,11 +184,8 @@ def _groups(terms: dict[BracketTree, int]) -> Iterator[tuple[dict, dict, int]]:
 
 
 def _expansion(terms: dict[BracketTree, int]) -> dict[str, int]:
-    """sum_w c_w P_w for bracket trees w of weight >= 2, as a new dict."""
-    out: dict[str, int] = {}
-    for p, q, scale in _groups(terms):
-        _commutator(p, q, scale, out)
-    return out
+    """sum_w c_w P_w for bracket trees w of weight >= 2: one ``_commutators`` sum of its groups."""
+    return _commutators(_groups(terms))
 
 
 def _letter_image(out: dict, coeffs: dict[str, int], letter: str) -> dict:

@@ -126,12 +126,15 @@ def lyndon_words(k: int, l: int) -> tuple[str, ...]:
     return tuple(w for w in ("a" + v + "b" for v in all_words(k - 1, l - 1)) if _is_lyndon_ab(w))
 
 
+@lru_cache(maxsize=None)
 def standard_factorization(word: str) -> tuple[str, str]:
     """Split a Lyndon word w = uv with v its longest proper Lyndon suffix.
 
     That suffix is also the lexicographically smallest proper suffix
     (Lothaire, *Combinatorics on Words*, Prop. 5.1.3), which is how it is
-    found here.
+    found here.  Memoized for ``lyndon_bracket`` and the rewriting in
+    ``algebra._prod``, which split the same words: it holds one pair per
+    Lyndon word either of them reached.
     """
     if not is_lyndon(word):
         raise ValueError(f"{word!r} is not a Lyndon word")
@@ -139,8 +142,8 @@ def standard_factorization(word: str) -> tuple[str, str]:
         raise ValueError("a single letter has no factorization")
     v = min(word[i:] for i in range(1, len(word)))
     u = word[: len(word) - len(v)]
-    # Both parts of a standard factorization are Lyndon.
-    if not (is_lyndon(u) and is_lyndon(v)):
+    # Both parts of a standard factorization are Lyndon; the alphabet was checked above.
+    if not (_is_lyndon_ab(u) and _is_lyndon_ab(v)):
         raise AssertionError(f"standard factorization broke on {word!r}")
     return u, v
 

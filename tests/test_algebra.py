@@ -36,7 +36,8 @@ from liering.algebra import (
     normalize,
     parse_expr,
 )
-from liering.words import Leaf, Node, bidegree, bracket_string, lyndon_bracket, lyndon_words
+from liering.words import (Leaf, Node, bidegree, bracket_string, lyndon_bracket, lyndon_words,
+                           standard_factorization)
 
 
 def test_assoc_expand_examples():
@@ -141,7 +142,7 @@ def test_bracket_at_the_weight_limit_within_the_default_recursion_limit():
     # same shape are checked against the full-vocabulary reference.
     assert sys.getrecursionlimit() <= 1000
     algebra._prod.cache_clear()
-    algebra._factor.cache_clear()
+    standard_factorization.cache_clear()
     start = time.perf_counter()
     image = bracket_with_letter(LieElement((127, 128), {"a" * 127 + "b" * 128: 1}), "b")
     assert time.perf_counter() - start < 10
@@ -208,7 +209,7 @@ def test_bracket_with_letter_matches_bracket_expr_reference():
 
 
 def test_assoc_commutator_matches_products():
-    from liering.algebra import _commutator
+    from liering.algebra import _commutators
 
     rng = random.Random(4402)
 
@@ -224,8 +225,53 @@ def test_assoc_commutator_matches_products():
             for v, cv in q.items():
                 brute[u + v] = brute.get(u + v, 0) + cu * cv
                 brute[v + u] = brute.get(v + u, 0) - cu * cv
-        assert _commutator(p, q) == {w: c for w, c in brute.items() if c}
-    assert _commutator({"a": 2, "aa": 1}, {"aaa": -1}) == {}
+        assert _commutators([(p, q, 1)]) == {w: c for w, c in brute.items() if c}
+    assert _commutators([({"a": 2, "aa": 1}, {"aaa": -1}, 1)]) == {}
+
+
+def test_commutators_match_a_double_loop():
+    # Batches of 1-4 groups over words of mixed lengths, with small and packed
+    # coefficients and scales; some groups undo earlier ones, so whole
+    # batches cancel to {}.
+    from liering.algebra import _commutators
+
+    rng = random.Random(1902)
+
+    def coefficient():
+        if rng.random() < 0.3:  # packed: slots of 170 bits, past 2^600
+            return sum(rng.randint(-9, 9) << (170 * t) for t in range(5)) or 1
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+
+    def random_poly():
+        return {"".join(rng.choice("ab") for _ in range(rng.randint(1, 4))): coefficient()
+                for _ in range(rng.randint(0, 6))}
+
+    empty = packed = 0
+    for _ in range(300):
+        groups = []
+        for _ in range(rng.randint(1, 4)):
+            if groups and rng.random() < 0.3:
+                p, q, scale = rng.choice(groups)
+                groups.append(rng.choice(((q, p, scale), (p, q, -scale))))
+            else:
+                scale = rng.choice((1, -1, coefficient()))
+                groups.append((random_poly(), random_poly(), scale))
+        snapshot = [(dict(p), dict(q)) for p, q, _ in groups]
+        brute: dict[str, int] = {}
+        for p, q, scale in groups:
+            for u, cu in p.items():
+                for v, cv in q.items():
+                    brute[u + v] = brute.get(u + v, 0) + scale * cu * cv
+                    brute[v + u] = brute.get(v + u, 0) - scale * cu * cv
+        got = _commutators(groups)
+        assert got == {w: c for w, c in brute.items() if c}
+        assert all(got.values())
+        assert [(p, q) for p, q, _ in groups] == snapshot
+        empty += bool(brute) and not got  # product terms that all cancelled
+        packed += any(abs(c) > 2**600 for c in got.values())
+    assert empty and packed
+    p = {"a": 2, "ab": -1}
+    assert _commutators([(p, p, 5)]) == {} and p == {"a": 2, "ab": -1}
 
 
 def test_difference_with_itself_is_typed_zero():

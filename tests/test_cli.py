@@ -229,7 +229,7 @@ def test_normalize_expands_nothing_and_enumerates_no_bidegree(capsys, monkeypatc
         raise AssertionError(f"enumerated the words of ({k}, {l})")
 
     monkeypatch.setattr(words, "all_words", no_enumeration)
-    for cache in (algebra._tree_poly, algebra._prod, algebra._factor, words.lyndon_words):
+    for cache in (algebra._tree_poly, algebra._prod, words.standard_factorization, words.lyndon_words):
         cache.cache_clear()
     start = time.perf_counter()
     code, out, err = run(capsys, "normalize", expr)
@@ -597,6 +597,12 @@ def _random_json(rng, depth=0):
 def test_report_writer_matches_json_dumps_on_random_values(capsys, tmp_path):
     rng = random.Random(1800)
     values = [[], {}, [[]], {"": {}}, [{}, [], ""], ["\u2028", "\ud800"], 2**64 + 1]
+    # Lists of string lists, as certificate pairs and basis vectors, with an
+    # empty inner list, a mixed one, and nested in a dict and in a list.
+    values += [[["1", "ab"], ["-2", "abb"]], [["1", "ab"], []], [[], ["a"]], [["1", 2]],
+               [["a"], "b"], [("x", "é"), ["\n"]],
+               {"A": [["-3", "aab"], ["2", "abb"]], "basis": [["0", "1"], ["1", "0"]]},
+               [[["1", "a"]], [["\"", "\\"], ["b"]], {"B": [["4", "b"]]}]]
     values += [_random_json(rng) for _ in range(3000)]
     for value in values:
         assert cli._json_text(value) == json.dumps(value, indent=2), value

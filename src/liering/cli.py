@@ -13,11 +13,12 @@ from json.encoder import encode_basestring_ascii as _encode
 
 from . import dims
 from .algebra import InconsistencyError, check_weight, normalize, parse_expr
-from .families import FAMILY_BUILDERS, check_family_size
+from .families import FAMILY_BUILDERS, check_family_size, i2_certificate, i33_certificate
 from .kernels import (
     certificate_from_dict,
     certificate_latex,
     certificate_to_dict,
+    certificate_vector,
     element_pairs,
     kernel_certificates,
     kernel_lattice,
@@ -26,6 +27,7 @@ from .kernels import (
 )
 from .oracle import oracle_check
 from .words import bracket_string, lyndon_bracket, lyndon_words
+from .zlinalg import canonical_lattice, lattice_equal
 
 # The largest slice a command takes on.  ``basis`` enumerates the words of
 # its bidegree to find the Lyndon ones; ``theta`` also prints the dense pair
@@ -144,10 +146,6 @@ def _cmd_theta(args) -> int:
 
 
 def _family_comparison(k: int, l: int):
-    from .families import i2_certificate, i33_certificate
-    from .kernels import certificate_vector
-    from .zlinalg import canonical_lattice, lattice_equal
-
     if k == 2 and l >= 2 and l % 2 == 0:
         name, cert = "i2", i2_certificate(l)
     elif k == 3 and l in (3, 6):
@@ -193,7 +191,11 @@ def _cmd_family(args) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
-        cert = certificate_from_dict(json.load(handle))
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{args.file} nests its JSON too deeply to read") from None
+    cert = certificate_from_dict(data)
     verified = verify_certificate(cert)
     report = {"certificate": certificate_to_dict(cert), "verified": verified}
     if args.oracle:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .words import check_bidegree
+
 
 def mobius(n: int) -> int:
     """Moebius function by trial division (inputs here stay tiny)."""
@@ -56,10 +58,7 @@ def lie_dim_bigraded(k: int, l: int) -> int:
     with gcd(k, 0) = k so that the one-letter edges come out as
     lie_dim_bigraded(1, 0) = lie_dim_bigraded(0, 1) = 1 and 0 beyond.
     """
-    if k < 0 or l < 0:
-        raise ValueError(f"bidegree components must be nonnegative, got ({k}, {l})")
-    if (k, l) == (0, 0):
-        raise ValueError("bidegree (0, 0) is empty")
+    check_bidegree(k, l)
     n = k + l
     g = math.gcd(k, l)
     total = sum(mobius(d) * binom(n // d, k // d) for d in range(1, g + 1) if g % d == 0)
@@ -87,8 +86,7 @@ def kernel_dim_bigraded(k: int, l: int) -> int:
     bidegrees contributing 0.  Equals the computed kernel rank because the
     map is surjective on every slice of weight >= 2.
     """
-    if k < 0 or l < 0 or (k, l) == (0, 0):
-        raise ValueError(f"invalid bidegree ({k}, {l})")
+    check_bidegree(k, l)
     return _lie_dim_or_zero(k - 1, l) + _lie_dim_or_zero(k, l - 1) - _lie_dim_or_zero(k, l)
 
 

@@ -29,7 +29,7 @@ from .algebra import (
     bracket_with_letter,
     check_weight,
 )
-from .words import BracketTree, _is_lyndon_ab, lyndon_bracket, lyndon_words
+from .words import BracketTree, _is_lyndon_ab, check_bidegree, lyndon_bracket, lyndon_words
 from .zlinalg import Echelon, IntMatrix, KernelLattice, echelon, lattice_coordinates
 
 
@@ -98,17 +98,10 @@ def _slice_basis(k: int, l: int) -> tuple[str, ...]:
     return lyndon_words(k, l)
 
 
-def _check_bidegree(k: int, l: int) -> None:
-    if k < 0 or l < 0:
-        raise ValueError(f"bidegree components must be nonnegative, got ({k}, {l})")
-    if (k, l) == (0, 0):
-        raise ValueError("bidegree (0, 0) is empty")
-
-
 @lru_cache(maxsize=None)
 def pair_matrix(k: int, l: int) -> PairMatrix:
     """Matrix of (A, B) -> [A,a] + [B,b] on the bidegree-(k, l) slice."""
-    _check_bidegree(k, l)
+    check_bidegree(k, l)
     dom_a = _slice_basis(k - 1, l)
     dom_b = _slice_basis(k, l - 1)
     codomain = _slice_basis(k, l)
@@ -143,24 +136,13 @@ def pair_image(a_part: LieElement, b_part: LieElement) -> LieElement:
 
 
 def _check_certificate_shape(cert: IdentityCertificate) -> None:
-    _check_bidegree(cert.k, cert.l)
+    check_bidegree(cert.k, cert.l)
     expected_a = (cert.k - 1, cert.l)
     expected_b = (cert.k, cert.l - 1)
     if cert.A.bidegree is not None and cert.A.bidegree != expected_a:
         raise ValueError(f"A has bidegree {cert.A.bidegree}, expected {expected_a}")
     if cert.B.bidegree is not None and cert.B.bidegree != expected_b:
         raise ValueError(f"B has bidegree {cert.B.bidegree}, expected {expected_b}")
-
-
-@lru_cache(maxsize=None)
-def _lyndon_key(word: str) -> str | None:
-    """The first copy of ``word`` seen if it is Lyndon, else None.
-
-    Memoized for ``_letter_image``: its words w+t+b and a+w+t of a bidegree
-    (k, l) start with a and end with b, so the cache holds at most
-    C(k+l-2, k-1) of them, and the many pairs that meet one share a key.
-    """
-    return word if _is_lyndon_ab(word) else None
 
 
 def _groups(terms: dict[BracketTree, int]) -> Iterator[tuple[dict, dict, int]]:
@@ -188,45 +170,48 @@ def _expansion(terms: dict[BracketTree, int]) -> dict[str, int]:
     return _commutators(_groups(terms))
 
 
+# Duval's scan, memoized for ``_letter_image``: its words of a bidegree (k, l)
+# start with a and end with b, so it holds at most C(k+l-2, k-1) per bidegree.
+_is_lyndon = lru_cache(maxsize=None)(_is_lyndon_ab)
+
+# Per letter x, what [P, x] = Px - xP puts on the Lyndon words: (head, tail, sign).
+_LETTER_ENDS = {"b": ("", "b", 1), "a": ("a", "", -1)}
+
+
 def _letter_image(out: dict, coeffs: dict[str, int], letter: str) -> dict:
     """Add the coefficients of [sum_w c_w [w], letter] on Lyndon words into ``out``.
 
     With P the associative expansion of X = sum_w c_w [w], [X, x] = Px - xP.
     A Lyndon word of weight >= 2 starts with a and ends with b, so only
-    P(v) at z = vb (x = b) and -P(v) at z = av (x = a) reach them.  P is
-    never built: for each of the ``_groups`` the walk takes the pairs of P_u
-    and Q_u both ways round, only left words starting with a (x = b) or
-    right words ending with b (x = a), and tests each extended word with
-    ``_lyndon_key``.  Each side is listed once, its head a or tail b on.  The
-    walk fixes each word of the shorter side, scaling by its coefficient,
-    and sweeps the longer one (the a-group pairs {a: 1} with all of Q_a):
-    one comprehension and one ``_accumulate`` call per fixed word, and as
-    concatenation with a fixed word is injective, no comprehension merges
-    two terms.  The coefficients may be packed.
+    P(v) at z = vb (x = b) and -P(v) at z = av (x = a) reach them: the
+    letter is a tail b or a head a, with its sign.  P is never built: each
+    side of each of the ``_groups`` is listed once, with the head or tail
+    on, keeping the left words that start with a and the right words that
+    end with b.  One nested loop takes the pairs of P_u and Q_u both ways
+    round and adds each product whose word passes Duval's scan into
+    ``out``; terms cancel only in the sum, so the zeros are dropped once,
+    at the end.  The coefficients may be packed.
     """
+    head, tail, sign = _LETTER_ENDS[letter]
+    get = out.get
     trees = {}
     for word, c in coeffs.items():
         if len(word) > 1:
             trees[lyndon_bracket(word)] = c
-        elif word != letter:  # [b, a] = -[ab], [a, b] = [ab]
-            _accumulate(out, {"ab": 1 if letter == "b" else -1}, c)
+        elif word != letter:  # [a, b] = [ab], [b, a] = -[ab]
+            out["ab"] = get("ab", 0) + sign * c
     for p, q, scale in _groups(trees):
-        if letter == "b":
-            lefts = [[(w, c) for w, c in x.items() if w[0] == "a"] for x in (p, q)]
-            rights = [[(t + "b", c) for t, c in x.items()] for x in (p, q)]
-        else:
-            lefts = [[("a" + w, c) for w, c in x.items()] for x in (p, q)]
-            rights = [[(t, c) for t, c in x.items() if t[-1] == "b"] for x in (p, q)]
-            scale = -scale
-        for left, right, sign in ((lefts[0], rights[1], scale), (lefts[1], rights[0], -scale)):
-            if len(left) <= len(right):
-                for w, cw in left:
-                    _accumulate(out, {key: ct for t, ct in right
-                                      if (key := _lyndon_key(w + t)) is not None}, sign * cw)
-            else:
+        lefts = [[(v, c) for w, c in x.items() if (v := head + w)[0] == "a"] for x in (p, q)]
+        rights = [[(v, c) for t, c in x.items() if (v := t + tail)[-1] == "b"] for x in (p, q)]
+        for left, right, s in ((lefts[0], rights[1], sign * scale),
+                               (lefts[1], rights[0], -sign * scale)):
+            for w, cw in left:
+                sw = s * cw
                 for t, ct in right:
-                    _accumulate(out, {key: cw for w, cw in left
-                                      if (key := _lyndon_key(w + t)) is not None}, sign * ct)
+                    if _is_lyndon(key := w + t):
+                        out[key] = get(key, 0) + sw * ct
+    for word in [word for word, c in out.items() if not c]:
+        del out[word]
     return out
 
 
@@ -423,7 +408,7 @@ def certificate_from_dict(data: dict) -> IdentityCertificate:
     if not isinstance(data, dict) or not {"k", "l", "A", "B"} <= data.keys():
         raise ValueError("malformed certificate record: need an object with k, l, A and B")
     k, l = _integer(data["k"], "k"), _integer(data["l"], "l")
-    _check_bidegree(k, l)
+    check_bidegree(k, l)
     check_weight(k, l)
     return IdentityCertificate(k, l, _element_from_pairs(data["A"], (k - 1, l)),
                                _element_from_pairs(data["B"], (k, l - 1)),

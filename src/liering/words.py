@@ -96,12 +96,17 @@ def _is_lyndon_ab(word: str) -> bool:
     return k == 0
 
 
-def all_words(k: int, l: int) -> tuple[str, ...]:
-    """Every word with exactly k a's and l b's, in lexicographic order."""
+def check_bidegree(k: int, l: int) -> None:
+    """Refuse a bidegree with a negative component, and (0, 0), which has no words."""
     if k < 0 or l < 0:
         raise ValueError(f"bidegree components must be nonnegative, got ({k}, {l})")
     if (k, l) == (0, 0):
-        raise ValueError("bidegree (0, 0) has no words")
+        raise ValueError("bidegree (0, 0) is empty")
+
+
+def all_words(k: int, l: int) -> tuple[str, ...]:
+    """Every word with exactly k a's and l b's, in lexicographic order."""
+    check_bidegree(k, l)
     n = k + l
     words = []
     for positions in itertools.combinations(range(n), k):

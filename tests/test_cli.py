@@ -147,6 +147,13 @@ def test_verify_rejects_bad_certificates(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 2
 
+    # JSON nested past the decoder's recursion limit is an input error, not a failed check.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, "verify", str(deep))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
     code, _, err = run(capsys, "verify", str(payload), "--oracle", "--modulus", "1")
     assert code == 2 and err.startswith("error: modulus")
 

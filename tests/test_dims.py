@@ -41,10 +41,12 @@ def test_lie_dim_bigraded_examples():
     for n in range(1, 12):
         diff = dims.lie_dim_bigraded(3, n) - dims.lie_dim_bigraded(3, n - 1)
         assert diff == (n - 1) // 3 + 1
-    with pytest.raises(ValueError):
-        dims.lie_dim_bigraded(0, 0)
-    with pytest.raises(ValueError):
-        dims.lie_dim_bigraded(-1, 3)
+    for entry in (dims.lie_dim_bigraded, dims.kernel_dim_bigraded):
+        with pytest.raises(ValueError, match=r"^bidegree \(0, 0\) is empty$"):
+            entry(0, 0)
+        for k, l in ((-1, 3), (3, -1)):
+            with pytest.raises(ValueError, match=rf"^bidegree components must be nonnegative, got \({k}, {l}\)$"):
+                entry(k, l)
 
 
 def test_bigraded_sums_and_counts():

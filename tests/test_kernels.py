@@ -96,10 +96,16 @@ def test_pair_echelon_leaves_the_cached_pair_matrix_as_it_was():
 
 
 def test_pair_matrix_errors():
-    with pytest.raises(ValueError):
-        pair_matrix(0, 0)
-    with pytest.raises(ValueError):
-        pair_matrix(-1, 3)
+    # words.check_bidegree's messages, from every entry point of this module.
+    entries = (pair_matrix, kernel_lattice, kernel_certificates,
+               lambda k, l: certificate_from_dict({"k": k, "l": l, "A": [], "B": []}),
+               lambda k, l: verify_certificate(
+                   IdentityCertificate(k, l, LieElement.zero(), LieElement.zero())))
+    for entry in entries:
+        with pytest.raises(ValueError, match=r"^bidegree \(0, 0\) is empty$"):
+            entry(0, 0)
+        with pytest.raises(ValueError, match=r"^bidegree components must be nonnegative, got \(-1, 3\)$"):
+            entry(-1, 3)
 
 
 def test_pair_matrix_rank_at_3_3():
@@ -210,11 +216,9 @@ def test_letter_column_matches_the_full_expansion_up_to_weight_13(monkeypatch):
     # The grouped walk over the standard factors' expansions against the
     # column read off the expansion of each word itself, letters included:
     # every one-word element, then random elements with packed coefficients
-    # against the sum of their words' columns.  Both sides of a pair can be
-    # the one the walk fixes, for either letter, and the inputs reach all four.
+    # against the sum of their words' columns.
     depth, depths = [0], []
-    real_expansion, real_groups = kernels._expansion, kernels._groups
-    orientations = set()
+    real_expansion = kernels._expansion
 
     def expansion(terms):
         depths.append(depth[0])
@@ -224,19 +228,7 @@ def test_letter_column_matches_the_full_expansion_up_to_weight_13(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def groups(terms):
-        # The walk's own groups: those made outside any expansion.
-        outer = depth[0] == 0
-        for p, q, scale in real_groups(terms):
-            if outer:
-                heads = [sum(w[0] == "a" for w in x) if letter == "b" else len(x) for x in (p, q)]
-                tails = [len(x) if letter == "b" else sum(t[-1] == "b" for t in x) for x in (p, q)]
-                orientations.add((letter, heads[0] <= tails[1]))
-                orientations.add((letter, heads[1] <= tails[0]))
-            yield p, q, scale
-
     monkeypatch.setattr(kernels, "_expansion", expansion)
-    monkeypatch.setattr(kernels, "_groups", groups)
     columns = 0
     for n in range(1, 14):
         for k in range(n + 1):
@@ -262,8 +254,6 @@ def test_letter_column_matches_the_full_expansion_up_to_weight_13(monkeypatch):
                     assert kernels._letter_image({}, coeffs, letter) == expected, (coeffs, letter)
     # Groups of several words were expanded, some of them inside another group.
     assert depths.count(0) > 100 and max(depths) >= 1
-    # The left side was fixed (True) and the right side was (False), for both letters.
-    assert orientations == {(x, fixed) for x in "ab" for fixed in (True, False)}
 
 
 def _scaled(cert: IdentityCertificate, factor: int) -> IdentityCertificate:

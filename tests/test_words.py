@@ -17,6 +17,7 @@ from liering.words import (
     Node,
     all_words,
     bidegree,
+    check_bidegree,
     bracket_string,
     is_lyndon,
     lyndon_bracket,
@@ -126,10 +127,15 @@ def test_lyndon_words_examples():
 
 
 def test_lyndon_words_errors():
-    with pytest.raises(ValueError):
-        lyndon_words(0, 0)
-    with pytest.raises(ValueError):
-        lyndon_words(-1, 2)
+    # One check, one pair of messages, at every entry point of this module.
+    for entry in (check_bidegree, all_words, lyndon_words):
+        with pytest.raises(ValueError, match=r"^bidegree \(0, 0\) is empty$"):
+            entry(0, 0)
+        for k, l in ((-1, 2), (2, -1), (-1, -1)):
+            with pytest.raises(ValueError, match=rf"^bidegree components must be nonnegative, got \({k}, {l}\)$"):
+                entry(k, l)
+    check_bidegree(1, 0)
+    check_bidegree(0, 1)
 
 
 def test_lyndon_words_are_sorted_and_lyndon():

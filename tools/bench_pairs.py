@@ -3,9 +3,10 @@
     python3 tools/bench_pairs.py --base DIR --change DIR --seconds 40 \
         --seed 1400 --out BENCH_<n>.json
 
-For every workload, each of PAIRS pairs runs ``perfbench/run.py`` once in
-the base checkout and once in the change checkout, alternating which goes
-first, with the same seed; pair i uses seed ``--seed + i``.  The record
+For every workload that the base checkout's ``BENCHMARK.json`` names, each
+of PAIRS pairs runs ``perfbench/run.py`` once in the base checkout and once
+in the change checkout, alternating which goes first, with the same seed;
+pair i uses seed ``--seed + i``.  The record
 holds, for every workload and every end-to-end metric, the per-pair values,
 the median and quartiles of each side, and in how many pairs the change was
 lower.  Each side runs its own ``perfbench/`` and reads its own
@@ -22,8 +23,12 @@ import statistics
 import subprocess
 import sys
 
-WORKLOADS = ("balanced", "thin", "normalize")
 PAIRS = 10
+
+
+def workload_names(root: str) -> list[str]:
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as handle:
+        return [w["name"] for w in json.load(handle)["workloads"]]
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -52,7 +57,7 @@ def main(argv=None) -> int:
 
     record = {"pairs": PAIRS, "seconds": args.seconds, "first_seed": args.seed,
               "python": platform.python_version(), "nproc": os.cpu_count(), "workloads": {}}
-    for workload in WORKLOADS:
+    for workload in workload_names(args.base):
         sides: dict[str, list[dict]] = {"base": [], "change": []}
         for i in range(PAIRS):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")

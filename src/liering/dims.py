@@ -41,6 +41,7 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+# Hit by kernel_dim: `dims --max-weight 256 --bigraded` took 0.45-0.58 s, 0.71-0.77 s uncached.
 @lru_cache(maxsize=None)
 def lie_dim(n: int) -> int:
     """Rank of the weight-n piece: (1/n) * sum_{d|n} mobius(n/d) 2^d."""
@@ -50,6 +51,7 @@ def lie_dim(n: int) -> int:
     return total // n
 
 
+# Hit by _lie_dim_or_zero, three reads per slice of bigraded_records; timing as for lie_dim.
 @lru_cache(maxsize=None)
 def lie_dim_bigraded(k: int, l: int) -> int:
     """Rank of the bidegree-(k, l) piece.

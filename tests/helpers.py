@@ -391,7 +391,7 @@ def reference_echelon(m: IntMatrix) -> Echelon:
     Z^rows, and at full rank both multiply to the index of the image.
     """
     pivots, generators = _hnf_pass(m)
-    return Echelon(len(pivots), pivots, canonical_lattice(m.cols, generators))
+    return Echelon(pivots, canonical_lattice(m.cols, generators))
 
 
 def core_shapes(monkeypatch) -> list[tuple[int, int]]:

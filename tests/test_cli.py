@@ -267,7 +267,6 @@ def test_kernel_8_8_certify_expands_no_word_whose_column_it_takes(capsys, monkey
 
     monkeypatch.setattr(kernels, "_tree_poly", tree_poly)
     monkeypatch.setattr(kernels, "_expansion", expansion)
-    kernels.kernel_certificates.cache_clear()
     code, out, err = run(capsys, "kernel", "8", "8", "--certify")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
@@ -338,7 +337,6 @@ def test_a_failed_internal_verification_exits_1(capsys, monkeypatch, module, arg
     # kernel_certificates checks its slice as one batch, a family its member alone.
     name, failing = {kernels: ("verify_certificates", lambda certs: (False,) * len(certs)),
                      families: ("verify_certificate", lambda cert: False)}[module]
-    kernels.kernel_certificates.cache_clear()
     monkeypatch.setattr(module, name, failing)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
@@ -624,7 +622,7 @@ def test_report_writer_matches_json_dumps_on_random_values(capsys, tmp_path):
 def test_kernel_never_builds_the_dense_pair_matrix(capsys, monkeypatch):
     # Only ``theta`` prints the dense record; the kernel, its certificates
     # and the surjectivity check read the sparse rows.
-    for cache in (kernels.pair_matrix, kernels._pair_echelon, kernels.kernel_certificates):
+    for cache in (kernels.pair_matrix, kernels._pair_echelon):
         cache.cache_clear()
 
     def no_dense(self):

@@ -51,6 +51,28 @@ def test_evaluate_elementary_matrices():
     assert evaluate_expr(left_normed("a", "b"), assign) == unit_matrix(3, 0, 2)
 
 
+@pytest.mark.parametrize(
+    "dim, a, b",
+    [
+        # Rows zipped against 2 x 3 rows used to evaluate [a, b] to zero.
+        (2, ((1, 2, 3), (4, 5, 6)), ((1, 0, 1), (0, 1, 0))),
+        # A 3 x 3 a with a 4 x 4 b used to give a 3 x 3 value.
+        (3, unit_matrix(3, 0, 1), unit_matrix(4, 1, 2)),
+        # dim was never read: dim 5 with 3 x 3 matrices gave a 3 x 3 value.
+        (5, unit_matrix(3, 0, 1), unit_matrix(3, 1, 2)),
+        # A float entry.
+        (2, ((1, 0), (0, 1.5)), unit_matrix(2, 0, 1)),
+    ],
+)
+def test_an_assignment_must_hold_two_dim_by_dim_integer_matrices(monkeypatch, dim, a, b):
+    def no_evaluation(*args):
+        raise AssertionError("a malformed assignment was evaluated")
+
+    monkeypatch.setattr(oracle, "_evaluate", no_evaluation)
+    with pytest.raises(ValueError, match=rf"^letter matrices must be {dim} x {dim} integer"):
+        evaluate_expr(left_normed("a", "b"), MatrixAssignment(dim, a, b))
+
+
 def test_weight_three_nilpotency():
     # Strictly upper triangular 3x3 matrices are nilpotent of class 2.
     a = ((0, 1, 2), (0, 0, 3), (0, 0, 0))

@@ -134,8 +134,7 @@ def test_echelon_refuses_a_vector_off_the_kernel(monkeypatch, wrong, slot):
 
     def spoiled(ambient, vectors):
         lat = real(ambient, vectors)
-        return KernelLattice(ambient, lat.basis[:slot] + (wrong,) + lat.basis[slot + 1 :],
-                             canonical=True)
+        return KernelLattice(ambient, lat.basis[:slot] + (wrong,) + lat.basis[slot + 1 :])
 
     monkeypatch.setattr(zlinalg, "canonical_lattice", spoiled)
     with pytest.raises(AssertionError, match="does not annihilate"):
@@ -151,7 +150,7 @@ def test_echelon_refuses_slots_that_cancel_across_the_packing(monkeypatch):
 
     def spoiled(ambient, vectors):
         lat = real(ambient, vectors)
-        return KernelLattice(ambient, ((1,) * 8, (-1,) + (0,) * 7) + lat.basis[2:], canonical=True)
+        return KernelLattice(ambient, ((1,) * 8, (-1,) + (0,) * 7) + lat.basis[2:])
 
     monkeypatch.setattr(zlinalg, "canonical_lattice", spoiled)
     with pytest.raises(AssertionError, match="does not annihilate"):
@@ -275,6 +274,14 @@ def test_matrix_validation():
         IntMatrix([[1.5]])
     with pytest.raises(ValueError):
         IntMatrix([], cols=None)
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]], cols=3)
+    # Column 5 used to stay in sparse_rows, and echelon then raised IndexError;
+    # a float entry made it raise AttributeError.
+    with pytest.raises(ValueError, match=r"column 5 is outside \[0, 3\)"):
+        IntMatrix.from_sparse([{5: 1, 0: 2}], cols=3)
+    with pytest.raises(TypeError, match="matrix entries must be int"):
+        IntMatrix.from_sparse([{0: 1, 2: 0.5}], cols=3)
 
 
 matrices = st.integers(min_value=1, max_value=8).flatmap(

@@ -6,16 +6,26 @@ certificate must evaluate to the zero matrix under every assignment, so a
 single nonzero evaluation disproves it; passing trials are supporting
 evidence only, never a proof, and the reports say so.
 
-A certificate is compiled once into a plan: its distinct subtrees numbered
-in post-order (a = 0, b = 1) as steps (left, right), and each sum a list of
-(node, coeff).  A trial keeps each d x d node value as entry rows and as
-row-packed integers, row i packed as sum_j x_ij 2^(S j); by linearity row i
-of [X, Y] packs to sum_j (x_ij Y_j - y_ij X_j), 2d products, and a sum adds
-packed rows.  S is fixed per trial from bounds on the entries (the leaves'
-largest, 2d |X| |Y| for [X, Y], sum |c| |X| for a sum), so every slot
-unpacks exactly.  Under a modulus, a step that later steps read is reduced
-once its bound reaches the modulus, its bound restarting at modulus - 1,
-and the sums at the end: reduction is a ring map, so residues are unchanged.
+An expression or a certificate is compiled once into a program of nodes:
+the letters (a = 0, b = 1), steps [X, Y] on two earlier nodes, and sums
+sum c X.  Each distinct subtree is one step.  Where the top-level brackets
+of a sum share a left factor, sum_t c_t [U, V_t] is compiled by bilinearity
+as the one step [U, sum_t c_t V_t]; this holds exactly over Z and modulo
+any m.  A certificate's [A, a] + [B, b] is two more steps on the sums A
+and B and a final sum.
+
+A run keeps every d x d node value as row-packed integers, row i packed as
+sum_j x_ij 2^(S j).  By linearity row i of [X, Y] packs to sum_j (x_ij Y_j
+- y_ij X_j), 2d products, and a sum adds packed rows, so only the nodes a
+step reads, and the final one, are unpacked into entry rows.  A schedule
+fixes S from bounds on the entries (the letters' largest, 2d |X| |Y| for
+[X, Y], sum |c| |X| for a sum), so every slot unpacks exactly.  Under a
+modulus, a step or sum that a step reads is reduced once its bound reaches the
+modulus, its bound restarting at modulus - 1, and the final value at the
+end: reduction is a ring map, so residues are unchanged.  The evaluators
+size the schedule from the entries they are given; oracle_check fixes it
+once per certificate from max(|LOW|, |HIGH|), which bounds every drawn
+entry, so a trial only packs its two letters and runs the nodes.
 
 All randomness is drawn from explicit seeds and every assignment records
 the seed that produced it, so counterexamples replay exactly.
@@ -25,11 +35,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from operator import mul
+from operator import add, mul
 
 from .algebra import LieElement, as_expr
 from .kernels import IdentityCertificate
-from .words import Leaf, lyndon_bracket
+from .words import Leaf, Node, lyndon_bracket
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -39,7 +49,9 @@ class MatrixAssignment:
     """Concrete d x d integer matrices for the letters a and b.
 
     Both are checked to be ``dim`` x ``dim``: the evaluation zips rows, so
-    a wider or shorter matrix would be cut to fit, not refused.
+    a wider or shorter matrix would be cut to fit, not refused.  ``dim`` is
+    at least 2: 1 x 1 matrices commute, so every bracket would evaluate to 0
+    and any certificate would pass.
     """
 
     dim: int
@@ -49,8 +61,8 @@ class MatrixAssignment:
 
     def __post_init__(self):
         dim = self.dim
-        if not isinstance(dim, int) or dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
+        if not isinstance(dim, int) or dim < 2:
+            raise ValueError(f"dimension must be at least 2, got {dim}")
         for m in (self.a_matrix, self.b_matrix):
             if len(m) != dim or any(len(row) != dim or not all(isinstance(v, int) for v in row)
                                     for row in m):
@@ -61,11 +73,12 @@ LOW, HIGH = -3, 3
 
 # The most work oracle_check takes on, counted as trials * (dim + 4)**3: a
 # commutator costs 2 dim**2 products of packed rows, and the + 4 covers the
-# sums and the walk over the plan at small dim.  On i33's (3, 3) certificate a
-# step took 0.6 us at dim 2 to 0.13 us at dim 120 (CPython 3.11, shared 2-core
-# VM), 1.3-6 s at the limit.  A heavier certificate costs more: one trial on
-# i2's of weight 256 took 4.5 s at dim 100 and 39 s at dim 211 modulo 101,
-# and exact, whose slots grow with the weight, 6.7 s at dim 20.
+# sums and the walk over the program at small dim.  On i33's (3, 3)
+# certificate a step took 0.4-0.5 us at dim 2 to 0.15-0.17 us at dim 120
+# (CPython 3.11, shared 2-core VM), 1.5-5 s at the limit.  A heavier
+# certificate costs more: one trial on i2's of weight 256 took 3.2-5.1 s at
+# dim 100 and 33 s at dim 211 modulo 101, and exact, whose slots grow with
+# the weight, 5.2-6.7 s at dim 20.
 # The default of 50 trials at dim 4 is 25600.
 MAX_WORK = 10**7
 
@@ -86,45 +99,84 @@ def _check_modulus(modulus: int | None) -> None:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
 
 
-def _plan(term_lists) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
-    """(steps, sums) for lists of (tree, coeff) pairs: node 2 + s is steps[s]."""
-    index = {Leaf("a"): 0, Leaf("b"): 1}
-    steps, sums = [], []
-    for terms in term_lists:
-        pairs = []
-        for tree, c in terms:
-            stack = [tree]  # post-order without recursion, however deep the tree
-            while stack:
-                node = stack[-1]
-                if node in index:
-                    stack.pop()
-                elif node.left in index and node.right in index:
-                    index[stack.pop()] = len(index)
-                    steps.append((index[node.left], index[node.right]))
-                else:
-                    stack += (node.right, node.left)
-            pairs.append((index[tree], c))
-        sums.append(pairs)
-    return steps, sums
+class _Program:
+    """A sum of trees or a certificate compiled to nodes.
+
+    Nodes 0 and 1 are the letters a and b, node 2 + i is ``ops[i]``, and
+    ``out`` is the node whose value the program computes.  A step is
+    (left, right), the commutator of two nodes; a sum is (None, (nodes,
+    coeffs)).
+    """
+
+    def __init__(self):
+        self.ops: list[tuple] = []
+        self.out = 0
+        self._index = {Leaf("a"): 0, Leaf("b"): 1}
+
+    def add(self, first, second) -> int:
+        self.ops.append((first, second))
+        return len(self.ops) + 1
+
+    def tree(self, tree) -> int:
+        """The node of a tree; each distinct subtree is stepped once."""
+        index = self._index
+        stack = [tree]  # post-order without recursion, however deep the tree
+        while stack:
+            node = stack[-1]
+            if node in index:
+                stack.pop()
+            elif node.left in index and node.right in index:
+                index[stack.pop()] = self.add(index[node.left], index[node.right])
+            else:
+                stack += (node.right, node.left)
+        return index[tree]
+
+    def total(self, terms) -> int:
+        """The node of sum c t over (tree, c) pairs; sum_t c_t [U, V_t] is [U, sum_t c_t V_t]."""
+        pairs, groups = [], {}
+        for t, c in terms:
+            if isinstance(t, Node):
+                groups.setdefault(t.left, []).append((t, c))
+            else:
+                pairs.append((self.tree(t), c))
+        for left, group in groups.items():
+            if len(group) == 1:
+                pairs.append((self.tree(group[0][0]), group[0][1]))
+            else:
+                right = self.combination([(self.tree(t.right), c) for t, c in group])
+                pairs.append((self.add(self.tree(left), right), 1))
+        return self.combination(pairs)
+
+    def combination(self, pairs: list[tuple[int, int]]) -> int:
+        """The node of sum c n over (node, c) pairs."""
+        if len(pairs) == 1 and pairs[0][1] == 1:
+            return pairs[0][0]
+        return self.add(None, tuple(zip(*pairs)) or ((0,), (0,)))  # the empty sum is 0 * a
+
+    def schedule(self, dim: int, bound: int, modulus: int | None) -> tuple:
+        """What every evaluation shares at ``dim`` with letter entries at most ``bound`` in size."""
+        read = {n for left, right in self.ops if left is not None for n in (left, right)}
+        bounds, plan = [bound, bound], []
+        top = bound
+        for n, (left, right) in enumerate(self.ops, 2):
+            if left is None:
+                b = sum(abs(c) * bounds[m] for m, c in zip(*right))
+            else:
+                b = 2 * dim * bounds[left] * bounds[right]
+            top = max(top, b)
+            reduced = bool(modulus) and n in read and b >= modulus
+            bounds.append(modulus - 1 if reduced else b)
+            plan.append((left, right, n in read, reduced))
+        width = top.bit_length() + 1
+        shifts = range(0, width * dim, width)
+        half = 1 << (width - 1)
+        offset = sum(half << s for s in shifts)  # makes every slot nonnegative
+        return plan, self.out, shifts, half, (1 << width) - 1, offset, modulus
 
 
-def _evaluate(plan, leaves, modulus: int | None = None) -> list[Matrix]:
-    """The matrix of every sum of the plan, the first nodes taking the values ``leaves``."""
-    steps, sums = plan
-    dim = len(leaves[0])
-    inner = {n for step in steps for n in step if n >= len(leaves)}  # steps a later step reads
-
-    def bound(n: int) -> int:  # under a modulus, an inner node that may reach it is reduced
-        return modulus - 1 if modulus and n in inner and bounds[n] >= modulus else bounds[n]
-
-    bounds = [max(abs(v) for row in m for v in row) for m in leaves]
-    for left, right in steps:
-        bounds.append(2 * dim * bound(left) * bound(right))
-    top = max(bounds + [sum(abs(c) * bound(n) for n, c in pairs) for pairs in sums])
-    width = top.bit_length() + 1
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    shifts = range(0, width * dim, width)
-    offset = sum(half << s for s in shifts)  # makes every slot nonnegative
+def _evaluate(schedule: tuple, leaves) -> Matrix:
+    """The matrix of the program's ``out`` node, the letters taking the values ``leaves``."""
+    plan, out, shifts, half, mask, offset, modulus = schedule
 
     def unpack(value: int) -> list[int]:
         value += offset
@@ -132,53 +184,65 @@ def _evaluate(plan, leaves, modulus: int | None = None) -> list[Matrix]:
 
     rows = list(leaves)
     packed = [[sum(v << s for v, s in zip(row, shifts)) for row in m] for m in leaves]
-    for n, (left, right) in enumerate(steps, len(leaves)):
-        x, y, xp, yp = rows[left], rows[right], packed[left], packed[right]
-        p = [sum(map(mul, xi, yp)) - sum(map(mul, yi, xp)) for xi, yi in zip(x, y)]
-        rows.append([unpack(v) for v in p] if n in inner else None)
-        if bound(n) < bounds[n]:  # reduce, then repack at the same width
-            rows[n] = [[v % modulus for v in row] for row in rows[n]]
-            p = [sum(v << s for v, s in zip(row, shifts)) for row in rows[n]]
+    for left, right, unpacked, reduced in plan:
+        if left is None:
+            p = [0] * len(shifts)
+            for m, c in zip(*right):
+                p = list(map(add, p, map(c.__mul__, packed[m])))
+        else:
+            x, y, xp, yp = rows[left], rows[right], packed[left], packed[right]
+            p = [sum(map(mul, xi, yp)) - sum(map(mul, yi, xp)) for xi, yi in zip(x, y)]
+        r = [unpack(v) for v in p] if unpacked else None
+        if reduced:  # reduce, then repack at the same width
+            r = [[v % modulus for v in row] for row in r]
+            p = [sum(v << s for v, s in zip(row, shifts)) for row in r]
+        rows.append(r)
         packed.append(p)
-    return [tuple(tuple(v % modulus if modulus else v for v in unpack(r))
-                  for r in (sum(c * packed[n][i] for n, c in pairs) for i in range(dim)))
-            for pairs in sums]
-
-
-def _evaluate_terms(terms, assignment: MatrixAssignment, modulus: int | None) -> Matrix:
-    _check_modulus(modulus)
-    return _evaluate(_plan([terms]), [assignment.a_matrix, assignment.b_matrix], modulus)[0]
-
-
-def evaluate_expr(expr, assignment: MatrixAssignment, modulus: int | None = None) -> Matrix:
-    """Evaluate a bracket expression to an exact integer matrix, mod ``modulus`` (>= 2) if given."""
-    return _evaluate_terms(as_expr(expr).terms.items(), assignment, modulus)
+    return tuple(tuple(v % modulus if modulus else v for v in unpack(p)) for p in packed[out])
 
 
 def _element_terms(x: LieElement):
     return ((lyndon_bracket(word), c) for word, c in x.coeffs.items())
 
 
+def _sum_program(terms) -> _Program:
+    program = _Program()
+    program.out = program.total(terms)
+    return program
+
+
+def _certificate_program(cert: IdentityCertificate) -> _Program:
+    """[A, a] + [B, b]: a step on each grouped sum and a sum of the two."""
+    program = _Program()
+    program.out = program.combination([(program.add(program.total(_element_terms(x)), letter), 1)
+                                       for x, letter in ((cert.A, 0), (cert.B, 1))])
+    return program
+
+
+def _run(program: _Program, assignment: MatrixAssignment, modulus: int | None) -> Matrix:
+    """One evaluation, its slots sized from the entries of this assignment."""
+    leaves = assignment.a_matrix, assignment.b_matrix
+    bound = max(abs(v) for m in leaves for row in m for v in row)
+    return _evaluate(program.schedule(assignment.dim, bound, modulus), leaves)
+
+
+def evaluate_expr(expr, assignment: MatrixAssignment, modulus: int | None = None) -> Matrix:
+    """Evaluate a bracket expression to an exact integer matrix, mod ``modulus`` (>= 2) if given."""
+    _check_modulus(modulus)
+    return _run(_sum_program(as_expr(expr).terms.items()), assignment, modulus)
+
+
 def evaluate_element(x: LieElement, assignment: MatrixAssignment, modulus: int | None = None) -> Matrix:
     """Evaluate basis coordinates through the standard bracketing, mod ``modulus`` (>= 2) if given."""
-    return _evaluate_terms(_element_terms(x), assignment, modulus)
-
-
-# [A, a] + [B, b] on the leaves a, b, A, B.
-_OUTER = ([(2, 0), (3, 1)], [[(4, 1), (5, 1)]])
-
-
-def _certificate_value(plan, assignment: MatrixAssignment, modulus: int | None) -> Matrix:
-    leaves = [assignment.a_matrix, assignment.b_matrix]
-    return _evaluate(_OUTER, leaves + _evaluate(plan, leaves, modulus), modulus)[0]
+    _check_modulus(modulus)
+    return _run(_sum_program(_element_terms(x)), assignment, modulus)
 
 
 def evaluate_certificate(cert: IdentityCertificate, assignment: MatrixAssignment,
                          modulus: int | None = None) -> Matrix:
     """The matrix value of [A, a] + [B, b] under the assignment, mod ``modulus`` (>= 2) if given."""
     _check_modulus(modulus)
-    plan = _plan([_element_terms(cert.A), _element_terms(cert.B)])
-    return _certificate_value(plan, assignment, modulus)
+    return _run(_certificate_program(cert), assignment, modulus)
 
 
 @dataclass(frozen=True)
@@ -238,11 +302,12 @@ def oracle_check(cert: IdentityCertificate, trials: int = 50, dim: int = 4,
     note = "passing trials are evidence, not proof"
     if modulus:
         note += f"; evaluated modulo {modulus}, which can mask nonzero integer values"
-    plan = _plan([_element_terms(cert.A), _element_terms(cert.B)])  # A and B share subtrees
+    # Every drawn entry lies in [LOW, HIGH], so one schedule serves every trial.
+    schedule = _certificate_program(cert).schedule(dim, max(-LOW, HIGH), modulus)
     failed_trial = counterexample = None
     for trial in range(trials):
         assignment = random_assignment(dim, _trial_seed(seed, trial))
-        if any(map(any, _certificate_value(plan, assignment, modulus))):
+        if any(map(any, _evaluate(schedule, (assignment.a_matrix, assignment.b_matrix)))):
             failed_trial = trial
             counterexample = assignment
             break

@@ -17,7 +17,7 @@ from helpers import (
     reference_oracle_check,
 )
 from liering import oracle
-from liering.algebra import BracketExpr, LieElement, left_normed, normalize
+from liering.algebra import BracketExpr, LieElement, as_expr, left_normed, normalize
 from liering.families import i2_certificate, i33_certificate
 from liering.kernels import IdentityCertificate, kernel_certificates, verify_certificate
 from liering.oracle import (
@@ -71,6 +71,20 @@ def test_an_assignment_must_hold_two_dim_by_dim_integer_matrices(monkeypatch, di
     monkeypatch.setattr(oracle, "_evaluate", no_evaluation)
     with pytest.raises(ValueError, match=rf"^letter matrices must be {dim} x {dim} integer"):
         evaluate_expr(left_normed("a", "b"), MatrixAssignment(dim, a, b))
+
+
+def test_an_assignment_must_be_at_least_2_x_2(monkeypatch):
+    # 1 x 1 matrices commute, so every certificate evaluated to ((0,),):
+    # i2_certificate(4) with A doubled among them.
+    def no_evaluation(*args):
+        raise AssertionError("a 1 x 1 assignment was evaluated")
+
+    monkeypatch.setattr(oracle, "_evaluate", no_evaluation)
+    four = i2_certificate(4)
+    corrupted = dataclasses.replace(four, A=2 * four.A)
+    for assign in (lambda: MatrixAssignment(1, ((2,),), ((3,),)), lambda: random_assignment(1, 7)):
+        with pytest.raises(ValueError, match="^dimension must be at least 2, got 1$"):
+            evaluate_certificate(corrupted, assign())
 
 
 def test_weight_three_nilpotency():
@@ -270,13 +284,19 @@ def _assignments(rng, count):
 
 
 def test_evaluation_matches_the_reference():
-    # The plan on row-packed integers against the recursive walk with dense
-    # products and a reduction after every step.
+    # The program on row-packed integers against the recursive walk with
+    # dense products and a reduction after every step.
     rng = random.Random(1414)
     exprs = [random_expr(rng, *random_bidegree(rng, 9, 2)) for _ in range(24)]
     elements = [normalize(expr) for expr in exprs[:12]]
+    # Sums of brackets [U, V_t] that repeat U, grouped as [U, sum_t c_t V_t];
+    # in the second, the letter a sits beside brackets [a, V_t].
+    u, ab = lyndon_bracket("aab"), Node(Leaf("a"), Leaf("b"))
+    exprs += [as_expr(u).bracket(3 * as_expr(ab) - 2 * as_expr(Node(Leaf("a"), ab))
+                                 + 5 * as_expr("b") + as_expr(u)),
+              4 * as_expr("a") - as_expr("a").bracket(7 * as_expr(u) + as_expr(ab) - as_expr("b"))]
     four = i2_certificate(4)
-    certs = [i2_certificate(2), four, i33_certificate(1), i33_certificate(2),
+    certs = [i2_certificate(2), four, i33_certificate(1), i33_certificate(2), i33_certificate(4),
              dataclasses.replace(four, A=2 * four.A), *kernel_certificates(3, 3)]
     for assign in _assignments(rng, 12):
         for modulus in MODULI:
@@ -299,7 +319,7 @@ def test_evaluation_matches_the_reference():
 
 
 def _corrupted():
-    i2, i33 = i2_certificate(6), i33_certificate(2)
+    i2, i33, i33_4 = i2_certificate(6), i33_certificate(2), i33_certificate(4)
     return [
         dataclasses.replace(i2, A=2 * i2.A),
         dataclasses.replace(i2, B=i2.B + normalize(left_normed("a", "b", "b", "b", "a", "b", "b"))),
@@ -307,6 +327,11 @@ def _corrupted():
                                                                  "a", "a"))),
         dataclasses.replace(i33_certificate(1), A=i33_certificate(1).A + 3 * normalize(
             left_normed("a", "b", "b", "a", "b"))),
+        # A and B group brackets.  The disturbance is [Y, b, b], and [Y, b, b, b]
+        # vanishes on 2 x 2 matrices whenever b's traceless part is nilpotent, as
+        # on the first trial of seed 3, so that run fails at a later trial.
+        dataclasses.replace(i33_4, B=i33_4.B + normalize(left_normed(
+            "a", "b", "a", "b", "b", "b", "b", "b", "a", "b", "b", "b", "b", "b"))),
     ]
 
 
@@ -314,13 +339,15 @@ def _corrupted():
 def test_oracle_reports_match_the_reference(modulus):
     # Corrupted certificates fail at the same trial with the same
     # counterexample; sound ones pass alike.
-    fails = 0
+    fails, late = 0, 0
     for cert in _corrupted() + [i2_certificate(6), i33_certificate(3)]:
-        for dim, seed in ((2, 7), (4, 1), (5, 20)):
+        for dim, seed in ((2, 7), (4, 1), (5, 20), (2, 3)):
             report = oracle_check(cert, trials=20, dim=dim, seed=seed, modulus=modulus)
             assert report == reference_oracle_check(cert, 20, dim, seed, modulus)
             fails += not report.passed
-    assert fails >= 6  # of the 12 runs on corrupted certificates
+            late += bool(report.failed_trial)
+    assert fails >= 16  # of the 20 runs on corrupted certificates
+    assert late  # some first failure comes after a passing trial
 
 
 def test_a_weight_255_bracket_evaluates_without_recursion():

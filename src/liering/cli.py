@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii as _encode
 
 from . import dims
 from .algebra import InconsistencyError, check_weight, normalize, parse_expr
-from .families import FAMILY_BUILDERS, check_family_size, i2_certificate, i33_certificate
+from .families import FAMILY_BUILDERS, i2_certificate, i33_certificate
 from .kernels import (
     certificate_from_dict,
     certificate_latex,
@@ -27,7 +27,7 @@ from .kernels import (
 )
 from .oracle import oracle_check
 from .words import bracket_string, lyndon_bracket, lyndon_words
-from .zlinalg import canonical_lattice, lattice_equal
+from .zlinalg import KernelLattice, lattice_equal
 
 # The largest slice a command takes on.  ``basis`` enumerates the words of
 # its bidegree to find the Lyndon ones; ``theta`` also prints the dense pair
@@ -153,7 +153,7 @@ def _family_comparison(k: int, l: int):
     else:
         return None
     lattice = kernel_lattice(k, l)
-    family = canonical_lattice(lattice.ambient, [certificate_vector(cert)])
+    family = KernelLattice(lattice.ambient, (certificate_vector(cert),))
     return {"family": name, "lattice_equal": lattice_equal(lattice, family)}
 
 
@@ -180,7 +180,6 @@ def _cmd_family(args) -> int:
     size = getattr(args, option)
     if size is None:
         raise ValueError(f"family {args.name} needs --{option}")
-    check_family_size(args.name, size)
     cert = FAMILY_BUILDERS[args.name](size)
     if args.format == "latex":
         print(certificate_latex(cert))

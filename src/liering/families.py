@@ -69,6 +69,19 @@ def engel_triple(p: int, q: int, r: int) -> LieElement:
     return bracket(engel_pair(p, q), engel(r))
 
 
+# The bidegree of each family member, by its size: m for i2, n otherwise.
+FAMILY_BIDEGREES = {
+    "i2": lambda m: (2, m),
+    "qbad": lambda n: (2, 2 * n),
+    "i33": lambda n: (3, 3 * n),
+}
+
+
+def check_family_size(name: str, size: int) -> None:
+    """Refuse a member past the weight limit before any bracket; each builder calls it first."""
+    check_weight(*FAMILY_BIDEGREES[name](size))
+
+
 def _certified(cert: IdentityCertificate) -> IdentityCertificate:
     if not verify_certificate(cert):
         raise InconsistencyError(f"family certificate {cert.source} failed verification")
@@ -77,6 +90,7 @@ def _certified(cert: IdentityCertificate) -> IdentityCertificate:
 
 def i2_certificate(m: int) -> IdentityCertificate:
     """Generator of the kernel in bidegree (2, m), for even m >= 2."""
+    check_family_size("i2", m)
     if m < 2 or m % 2:
         raise ValueError(f"the i2 family needs an even m >= 2, got {m}")
     b_part = sum(
@@ -87,6 +101,7 @@ def i2_certificate(m: int) -> IdentityCertificate:
 
 def qbad_certificate(n: int) -> IdentityCertificate:
     """The (2, 2n) family, n >= 1; coincides with i2_certificate(2n)."""
+    check_family_size("qbad", n)
     if n < 1:
         raise ValueError(f"the qbad family needs n >= 1, got {n}")
     rhs = sum(((-1) ** i * engel_pair(2 * n - 1 - i, i) for i in range(n)), LieElement.zero())
@@ -118,6 +133,7 @@ def i33_certificate(n: int) -> IdentityCertificate:
     B = -sum_{i=0}^{n} sum_{j=0}^{floor(i/2)} (-1)^{i+1} alpha(i-j, j)
             [C_{n+i-j}, C_{n+j-1}, C_{n-i}]
     """
+    check_family_size("i33", n)
     if n < 1:
         raise ValueError(f"the i33 family needs n >= 1, got {n}")
     sign = (-1) ** (n + 1)
@@ -197,14 +213,3 @@ FAMILY_BUILDERS = {
     "qbad": qbad_certificate,
     "i33": i33_certificate,
 }
-
-# The bidegree of each family member, by its size: m for i2, n otherwise.
-FAMILY_BIDEGREES = {
-    "i2": lambda m: (2, m),
-    "qbad": lambda n: (2, 2 * n),
-    "i33": lambda n: (3, 3 * n),
-}
-
-def check_family_size(name: str, size: int) -> None:
-    """Refuse a member past the weight limit before any bracket."""
-    check_weight(*FAMILY_BIDEGREES[name](size))

@@ -37,9 +37,9 @@ import random
 from dataclasses import dataclass, fields
 from operator import add, mul
 
-from .algebra import LieElement, as_expr
+from .algebra import as_expr, basis_expansion
 from .kernels import IdentityCertificate
-from .words import Leaf, Node, lyndon_bracket
+from .words import Leaf, Node
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -151,7 +151,7 @@ class _Program:
         """The node of sum c n over (node, c) pairs."""
         if len(pairs) == 1 and pairs[0][1] == 1:
             return pairs[0][0]
-        return self.add(None, tuple(zip(*pairs)) or ((0,), (0,)))  # the empty sum is 0 * a
+        return self.add(None, tuple(zip(*pairs)) or ((), ()))
 
     def schedule(self, dim: int, bound: int, modulus: int | None) -> tuple:
         """What every evaluation shares at ``dim`` with letter entries at most ``bound`` in size."""
@@ -201,21 +201,12 @@ def _evaluate(schedule: tuple, leaves) -> Matrix:
     return tuple(tuple(v % modulus if modulus else v for v in unpack(p)) for p in packed[out])
 
 
-def _element_terms(x: LieElement):
-    return ((lyndon_bracket(word), c) for word, c in x.coeffs.items())
-
-
-def _sum_program(terms) -> _Program:
-    program = _Program()
-    program.out = program.total(terms)
-    return program
-
-
 def _certificate_program(cert: IdentityCertificate) -> _Program:
     """[A, a] + [B, b]: a step on each grouped sum and a sum of the two."""
     program = _Program()
-    program.out = program.combination([(program.add(program.total(_element_terms(x)), letter), 1)
-                                       for x, letter in ((cert.A, 0), (cert.B, 1))])
+    sides = [program.add(program.total(basis_expansion(x).terms.items()), letter)
+             for x, letter in ((cert.A, 0), (cert.B, 1))]
+    program.out = program.combination([(side, 1) for side in sides])
     return program
 
 
@@ -229,13 +220,9 @@ def _run(program: _Program, assignment: MatrixAssignment, modulus: int | None) -
 def evaluate_expr(expr, assignment: MatrixAssignment, modulus: int | None = None) -> Matrix:
     """Evaluate a bracket expression to an exact integer matrix, mod ``modulus`` (>= 2) if given."""
     _check_modulus(modulus)
-    return _run(_sum_program(as_expr(expr).terms.items()), assignment, modulus)
-
-
-def evaluate_element(x: LieElement, assignment: MatrixAssignment, modulus: int | None = None) -> Matrix:
-    """Evaluate basis coordinates through the standard bracketing, mod ``modulus`` (>= 2) if given."""
-    _check_modulus(modulus)
-    return _run(_sum_program(_element_terms(x)), assignment, modulus)
+    program = _Program()
+    program.out = program.total(as_expr(expr).terms.items())
+    return _run(program, assignment, modulus)
 
 
 def evaluate_certificate(cert: IdentityCertificate, assignment: MatrixAssignment,

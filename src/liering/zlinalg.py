@@ -86,8 +86,8 @@ class IntMatrix:
             return NotImplemented
         return (self.rows, self.cols, self.sparse_rows) == (other.rows, other.cols, other.sparse_rows)
 
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, {self.entries})"
+    def __repr__(self) -> str:  # from the sparse rows: printing builds no dense copy
+        return f"IntMatrix({self.rows}x{self.cols}, nnz={sum(map(len, self.sparse_rows))})"
 
     def to_record(self) -> dict:
         """Portable record: shape plus row-major decimal entry strings."""
@@ -186,20 +186,21 @@ class Echelon:
         return len(self.pivots)
 
 
-def _hnf_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
+def _hnf_pass(rows: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ...], list[list[int]]]:
     """Image pivots and kernel generators of M from one HNF of [M^T | I].
 
-    The rows of [M^T | I] are reduced on their first M.rows columns into
+    M is given as its dense ``rows``, each ``cols`` entries long.  The rows
+    of [M^T | I] are reduced on their first len(rows) columns into
     [H | U] with U*M^T = H.  The first ``rank`` rows carry the pivots; the
     U parts of the rows after them, where H is zero, lie in the kernel of
     M, and since U is unimodular they span the full integer kernel, a pure
     sublattice (a direct summand), not just a finite-index one.
     """
-    n = m.cols
-    work = [[row[j] for row in m.entries] + [int(i == j) for i in range(n)] for j in range(n)]
-    r = _row_echelon(work, m.rows)
+    height = len(rows)
+    work = [[row[j] for row in rows] + [int(i == j) for i in range(cols)] for j in range(cols)]
+    r = _row_echelon(work, height)
     pivots = tuple(next(v for v in row if v) for row in work[:r])
-    return pivots, [row[m.rows :] for row in work[r:]]
+    return pivots, [row[height:] for row in work[r:]]
 
 
 def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
@@ -264,7 +265,7 @@ def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
     pivot_cols = {p for p, _ in order}
     free = [j for j in range(m.cols) if j not in pivot_cols]
     core = [[row.get(j, 0) for j in free] for row, alive in zip(rows, live) if alive]
-    core_pivots, core_kernel = _hnf_pass(IntMatrix(core, cols=len(free)))
+    core_pivots, core_kernel = _hnf_pass(core, len(free))
     # x[j] holds coordinate j of every generator at once, keyed by generator.
     x: dict[int, dict[int, int]] = {
         f: {g: v[t] for g, v in enumerate(core_kernel) if v[t]} for t, f in enumerate(free)

@@ -1,5 +1,6 @@
 """Command-line interface: grammar, formats, exit codes, round trips."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -634,6 +635,7 @@ def test_kernel_never_builds_the_dense_pair_matrix(capsys, monkeypatch):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "3083ffb91bf39b9a9ead2c1cb4aa9fe7f1133e34f24a08a37de656c68ee7cf91")
     assert kernels.check_surjective(8, 8).surjective
+    assert "IntMatrix(800x858, nnz=4378)" in repr(kernels.pair_matrix(8, 8))
     with pytest.raises(AssertionError, match="dense pair matrix was built"):
         run(capsys, "theta", "8", "8")
 
@@ -670,6 +672,21 @@ def test_verify_oracle_stdout(capsys, tmp_path):
         code, out, _ = run(capsys, "verify", str(tmp_path / f"{name}.json"), *options)
         assert code == (1 if name.startswith("bad") else 0), options
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (name, options)
+
+
+def test_verify_fails_a_verified_certificate_the_oracle_refutes(capsys, tmp_path, monkeypatch):
+    # No certificate both verifies and is refuted, so the oracle's verdict is forced.
+    def refuted(cert, **options):
+        report = oracle.oracle_check(cert, **options)
+        return dataclasses.replace(report, verdict="fail", failed_trial=0)
+
+    monkeypatch.setattr(cli, "oracle_check", refuted)
+    payload = tmp_path / "cert.json"
+    payload.write_text(json.dumps(certificate_to_dict(i33_certificate(1))))
+    code, out, _ = run(capsys, "verify", str(payload), "--oracle", "--trials", "2")
+    assert code == 1
+    report = json.loads(out)
+    assert report["verified"] is True and report["oracle"]["verdict"] == "fail"
 
 
 def test_unknown_command_exits_2(capsys):

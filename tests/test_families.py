@@ -2,7 +2,8 @@
 
 import pytest
 
-from liering.algebra import bracket_with_letter, engel, left_normed, normalize
+from liering import families
+from liering.algebra import MAX_DEPTH, bracket_with_letter, engel, left_normed, normalize
 from liering.families import (
     FAMILY_BIDEGREES,
     FAMILY_BUILDERS,
@@ -204,3 +205,15 @@ def test_family_lattice_equality_in_even_bidegrees():
         lattice = kernel_lattice(2, m)
         family = canonical_lattice(lattice.ambient, [certificate_vector(i2_certificate(m))])
         assert lattice_equal(lattice, family)
+
+
+@pytest.mark.parametrize("name, size", [("i2", 300), ("i2", 1200), ("qbad", 128), ("qbad", 600),
+                                        ("i33", 85), ("i33", 100)])
+def test_family_builders_refuse_a_member_past_the_weight_limit(monkeypatch, name, size):
+    # The builders check the weight themselves, before any bracket, not only the CLI.
+    def no_bracket(x, y):
+        raise AssertionError("a bracket was computed")
+
+    monkeypatch.setattr(families, "bracket", no_bracket)
+    with pytest.raises(ValueError, match=f"limit of {MAX_DEPTH}"):
+        FAMILY_BUILDERS[name](size)

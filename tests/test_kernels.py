@@ -400,6 +400,9 @@ def test_verify_certificate_cases():
     mismatched = IdentityCertificate(2, 2, engel(3), LieElement.zero())
     with pytest.raises(ValueError):
         verify_certificate(mismatched)
+    mismatched_b = IdentityCertificate(2, 2, engel(2), engel(1))
+    with pytest.raises(ValueError, match=r"B has bidegree \(1, 1\), expected \(2, 1\)"):
+        verify_certificate(mismatched_b)
     # L_{-1,2} is the zero module: any nonzero A has another bidegree.
     with pytest.raises(ValueError):
         verify_certificate(IdentityCertificate(0, 2, LieElement((0, 1), {"b": 1}), LieElement.zero()))

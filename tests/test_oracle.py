@@ -17,13 +17,12 @@ from helpers import (
     reference_oracle_check,
 )
 from liering import oracle
-from liering.algebra import BracketExpr, LieElement, as_expr, left_normed, normalize
+from liering.algebra import BracketExpr, LieElement, as_expr, basis_expansion, left_normed, normalize
 from liering.families import i2_certificate, i33_certificate
 from liering.kernels import IdentityCertificate, kernel_certificates, verify_certificate
 from liering.oracle import (
     MatrixAssignment,
     evaluate_certificate,
-    evaluate_element,
     evaluate_expr,
     oracle_check,
     random_assignment,
@@ -114,7 +113,7 @@ def test_evaluate_element_matches_expr():
     assign = random_assignment(4, 99)
     direct = evaluate_expr(-1 * left_normed("a", lyndon_bracket("abb")), assign)
     # -[a,[abb]] has the same coordinates as normalize([a,b,b,a]).
-    assert evaluate_element(x, assign) == direct
+    assert evaluate_expr(basis_expansion(x), assign) == direct
 
 
 def test_oracle_check_passes_on_valid_certificates():
@@ -186,7 +185,7 @@ def test_oracle_validation():
         with pytest.raises(ValueError):
             evaluate_certificate(corrupted, assign, modulus=modulus)
         with pytest.raises(ValueError):
-            evaluate_element(corrupted.A, assign, modulus=modulus)
+            evaluate_expr(basis_expansion(corrupted.A), assign, modulus=modulus)
         with pytest.raises(ValueError):
             evaluate_expr(left_normed("a", "b"), assign, modulus=modulus)
     assert not oracle_check(corrupted, trials=5, seed=1, modulus=2).passed
@@ -304,7 +303,7 @@ def test_evaluation_matches_the_reference():
                 assert (evaluate_expr(expr, assign, modulus)
                         == reference_evaluate_expr(expr, assign, modulus)), (expr, modulus)
             for x in elements:
-                assert (evaluate_element(x, assign, modulus)
+                assert (evaluate_expr(basis_expansion(x), assign, modulus)
                         == reference_evaluate_element(x, assign, modulus)), (x, modulus)
             for cert in certs:
                 assert (evaluate_certificate(cert, assign, modulus)
@@ -363,7 +362,7 @@ def test_a_weight_255_bracket_evaluates_without_recursion():
     try:
         with pytest.raises(RecursionError):
             reference_evaluate_element(x, assign, modulus=101)
-        value = evaluate_element(x, assign, modulus=101)
+        value = evaluate_expr(basis_expansion(x), assign, modulus=101)
         exact = evaluate_expr(tree, assign)
     finally:
         sys.setrecursionlimit(old)

@@ -24,21 +24,28 @@ expressions of the ``normalize`` benchmark workload (seed 1101) met 5003
 new pairs against 66479 repeats, so clearing the memo per call or per
 slice would redo most of the work.
 
-``normalize`` maps the first representation onto the second by folding
-``bracket`` over each tree: a leaf is its letter and [L, R] is the bracket
-of the folded children.  ``_tree_poly``, the cached expansion
-[x, y] = xy - yx of a tree in the free associative ring, serves only
-``assoc_expand``, which applies it to an arbitrary expression for checks
-against the associative ring, and the certificate check in ``kernels``,
-which reads it only for the left standard factors of the words it checks
-and for right factors alone in their group, so no such word is expanded.
+``bracket`` and ``normalize`` share one product loop on plain
+``{word: coefficient}`` dicts, ``_bracket_coeffs(x, y)``: for each pair of
+words u != v it adds +-cu*cv * ``_prod(min, max)`` inline and drops the
+zeros once, at the end; only ``_prod``'s Jacobi step adds its products
+one at a time.  ``normalize`` maps the first representation onto
+the second by folding each tree on such dicts, a leaf its letter and
+[L, R] the product of the folded children, and counts the tree's a's and
+b's in the same walk; it builds one :class:`LieElement` per call, not one
+per node.  ``_tree_poly``, the cached expansion [x, y] = xy - yx of a tree
+in the free associative ring, serves only ``assoc_expand``, which applies
+it to an arbitrary expression for checks against the associative ring,
+and the certificate check in ``kernels``, which reads it only for the
+left standard factors of the words it checks and for right factors alone
+in their group, so no such word is expanded.
 
-Every sum of word or tree dicts goes through ``_accumulate(out, terms,
+Other sums of word or tree dicts go through ``_accumulate(out, terms,
 scale)``, which adds scale * terms into ``out`` in place; the caller owns
 ``out``: it is a fresh dict or a copy, never a dict cached by
-``_tree_poly`` or ``_prod``.  Every product of word dicts goes through
-``_commutators(groups)``, which returns the sum of scale * (xy - yx) over
-its (x, y, scale) triples as a new dict and leaves x and y alone.
+``_tree_poly`` or ``_prod``.  Every product of word dicts in the
+associative ring goes through ``_commutators(groups)``, which returns the
+sum of scale * (xy - yx) over its (x, y, scale) triples as a new dict and
+leaves x and y alone.
 
 Coefficients are plain Python integers throughout; nothing here ever
 rounds or overflows.  All public functions are pure, and the internal
@@ -390,7 +397,7 @@ def basis_expansion(x: LieElement) -> BracketExpr:
     return BracketExpr._make({lyndon_bracket(w): c for w, c in x.coeffs.items()})
 
 
-# Hit by _add_product and itself: 7563/3051 on balanced, 66113/5022 on normalize (hits/misses).
+# Hit by _bracket_coeffs and itself: 7563/3051 on balanced, 66113/5022 on normalize (hits/misses).
 @lru_cache(maxsize=None)
 def _prod(u: str, v: str) -> dict[str, int]:
     """Lyndon coordinates of [[u], [v]] for Lyndon words u < v.
@@ -409,71 +416,99 @@ def _prod(u: str, v: str) -> dict[str, int]:
     if len(u) > 1:
         u1, u2 = standard_factorization(u)
         if u2 < v:
+            # One product per term, each of a word and a single word: two
+            # _bracket_coeffs calls, their one-word dicts and a second sum cost
+            # more on these mostly one- to six-word sides (from a cold memo, the
+            # products of the pair maps of (6, 6) to (7, 8), (3, 20) and (3, 25)
+            # took 20 ms that way against 16 ms, interleaved in-process minima).
             out: dict[str, int] = {}
             for w, c in _prod(u1, v).items():  # [[u1, v], u2]
-                _add_product(out, w, u2, c)
+                if w != u2:
+                    _accumulate(out, _prod(w, u2) if w < u2 else _prod(u2, w), c if w < u2 else -c)
             for w, c in _prod(u2, v).items():  # [u1, [u2, v]]
-                _add_product(out, u1, w, c)
+                if w != u1:
+                    _accumulate(out, _prod(u1, w) if u1 < w else _prod(w, u1), c if u1 < w else -c)
             return out
     return {u + v: 1}
 
 
-def _add_product(out: dict[str, int], u: str, v: str, c: int) -> None:
-    """Add c * [[u], [v]] into ``out``: [[v], [u]] = -[[u], [v]], [[u], [u]] = 0."""
-    if u < v:
-        _accumulate(out, _prod(u, v), c)
-    elif v < u:
-        _accumulate(out, _prod(v, u), -c)
+def _bracket_coeffs(x: Mapping[str, int], y: Mapping[str, int]) -> dict[str, int]:
+    """Lyndon coordinates of [x, y] for coordinate dicts x and y, as a new dict.
+
+    Bilinear in ``_prod``: [[v], [u]] = -[[u], [v]] and [[u], [u]] = 0.
+    """
+    out: dict[str, int] = {}
+    get = out.get
+    for u, cu in x.items():
+        for v, cv in y.items():
+            if u != v:
+                c, terms = (cu * cv, _prod(u, v)) if u < v else (-cu * cv, _prod(v, u))
+                for w, e in terms.items():
+                    out[w] = get(w, 0) + c * e
+    # Terms cancel only in the sum, so the zeros are dropped once, here, if any.
+    return {w: c for w, c in out.items() if c} if 0 in out.values() else out
+
+
+# (coordinates, a's, b's) of each letter, only ever read.
+_LEAF_FOLDS = {"a": ({"a": 1}, 1, 0), "b": ({"b": 1}, 0, 1)}
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """Normalized bracket of two basis-coordinate elements, bilinear in ``_prod``."""
-    if x.is_zero() or y.is_zero():
-        if x.bidegree is not None and y.bidegree is not None:
-            return LieElement.zero((x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1]))
+    """Normalized bracket of two basis-coordinate elements.
+
+    Its coordinates are ``_bracket_coeffs`` of theirs, the product loop
+    that ``normalize`` folds with.  The bracket of typed elements, zeros
+    included, has the sum of their bidegrees; with the untyped zero it is
+    the untyped zero.
+    """
+    if x.bidegree is None or y.bidegree is None:
         return LieElement.zero()
     bd = (x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1])
-    out: dict[str, int] = {}
-    for u, cu in x.coeffs.items():
-        for v, cv in y.coeffs.items():
-            _add_product(out, u, v, cu * cv)
-    return LieElement._make(bd, out)
-
-
-def _letter(letter: str) -> LieElement:
-    return LieElement._make((1, 0) if letter == "a" else (0, 1), {letter: 1})
+    return LieElement._make(bd, _bracket_coeffs(x.coeffs, y.coeffs))
 
 
 def bracket_with_letter(x: LieElement, letter: str) -> LieElement:
     """Normalized [x, letter]; the building block of the pair map."""
     if letter not in LETTERS:
         raise ValueError(f"letter must be one of {LETTERS}, got {letter!r}")
-    return bracket(x, _letter(letter))
+    coeffs, k, l = _LEAF_FOLDS[letter]
+    return bracket(x, LieElement._make((k, l), coeffs))
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
 
-def _fold(tree: BracketTree) -> LieElement:
-    """Lyndon coordinates of one tree: a leaf is its letter, [L, R] a bracket."""
+def _fold(tree: BracketTree) -> tuple[dict[str, int], int, int]:
+    """(Lyndon coordinates, a's, b's) of one tree, bracketed and counted in one walk."""
     if isinstance(tree, Leaf):
-        return _letter(tree.letter)
-    return bracket(_fold(tree.left), _fold(tree.right))
+        return _LEAF_FOLDS[tree.letter]
+    x, xk, xl = _fold(tree.left)
+    y, yk, yl = _fold(tree.right)
+    return _bracket_coeffs(x, y), xk + yk, xl + yl
 
 
 def normalize(expr: ExprLike) -> LieElement:
     """The unique Lyndon-basis representation of a homogeneous expression.
 
-    Each tree is folded through :func:`bracket` from the leaves up, so the
-    Lyndon rewriting is the only path.  Raises :class:`BidegreeError` when
-    the expression mixes bidegrees.
+    Each tree is folded from the leaves up on plain coordinate dicts by
+    ``_bracket_coeffs``, so the Lyndon rewriting is the only path, and its
+    a's and b's are counted in the same walk.  c times each tree's
+    coordinates are summed into one fresh dict, and one :class:`LieElement`
+    is built.  A tree that folds to zero still fixes the bidegree; the
+    empty expression gives the untyped zero.  Raises
+    :class:`BidegreeError`, with the message of :meth:`BracketExpr.bidegree`,
+    at the first tree whose bidegree differs from the first tree's.
     """
-    expr = as_expr(expr)
-    bd = expr.bidegree()
-    if bd is None:
-        return LieElement.zero()
-    return sum((c * _fold(tree) for tree, c in expr.terms.items()), LieElement.zero(bd))
+    out: dict[str, int] = {}
+    bd = None
+    for tree, c in as_expr(expr).terms.items():
+        coeffs, k, l = _fold(tree)
+        if bd not in (None, (k, l)):
+            raise BidegreeError(f"expression mixes bidegrees {bd} and {(k, l)}")
+        bd = (k, l)
+        _accumulate(out, coeffs, c)
+    return LieElement._make(bd, out)
 
 
 def engel_expr(n: int) -> BracketExpr:

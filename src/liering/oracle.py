@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
+from functools import partial
+from itertools import islice
 from operator import add, mul
 
 from .algebra import as_expr, basis_expansion
@@ -84,11 +86,18 @@ MAX_WORK = 10**7
 
 
 def random_assignment(dim: int, seed: int) -> MatrixAssignment:
-    """Deterministic assignment with entries uniform in [LOW, HIGH]."""
-    rng = random.Random(seed)
+    """Deterministic assignment with entries uniform in [LOW, HIGH].
+
+    Each entry takes the draws ``random.Random(seed).randint(LOW, HIGH)``
+    would, without its per-call overhead: ``span.bit_length()`` random
+    bits, drawn again while they reach ``span``.  So every seed keeps its
+    matrices, and with them its verdicts and counterexamples.
+    """
+    bits, span = random.Random(seed).getrandbits, HIGH - LOW + 1
+    entries = (LOW + r for r in iter(partial(bits, span.bit_length()), None) if r < span)
 
     def draw() -> Matrix:
-        return tuple(tuple(rng.randint(LOW, HIGH) for _ in range(dim)) for _ in range(dim))
+        return tuple(tuple(islice(entries, dim)) for _ in range(dim))
 
     return MatrixAssignment(dim, draw(), draw(), seed=seed)
 

@@ -18,6 +18,10 @@ token list, building every expression through ``left_normed``.
 leaves, and ``reference_verify_certificate`` the check of a
 certificate on the full associative expansion of [A,a] + [B,b], which the
 package replaced by a check on the Lyndon coefficients.
+``element_fold_normalize`` is the package's former ``normalize``, a fold
+of ``LieElement`` brackets that adds each c * [[u], [v]] through
+``_accumulate`` after a separate bidegree walk, the reference for the fold
+on plain coordinate dicts.
 ``reference_letter_column`` reads those coefficients off the full expansion
 of the word, where the package walks the pairs of left standard factors
 and their groups of right factors.
@@ -43,6 +47,7 @@ from liering.algebra import (
     LieElement,
     _accumulate,
     _commutators,
+    _prod,
     _tree_poly,
     as_expr,
     basis_expansion,
@@ -257,6 +262,38 @@ def block_bracket(x: LieElement, y: LieElement) -> LieElement:
             for j, e in row:
                 residual[j] -= c * e
     return LieElement._make(bd, out)
+
+
+# ---------------------------------------------------------------------------
+# the fold on LieElement brackets
+
+
+def _element_bracket(x: LieElement, y: LieElement) -> LieElement:
+    """[x, y] of typed elements, c * [[u], [v]] added per pair of words."""
+    bd = (x.bidegree[0] + y.bidegree[0], x.bidegree[1] + y.bidegree[1])
+    out: dict[str, int] = {}
+    for u, cu in x.coeffs.items():
+        for v, cv in y.coeffs.items():
+            if u < v:
+                _accumulate(out, _prod(u, v), cu * cv)
+            elif v < u:
+                _accumulate(out, _prod(v, u), -cu * cv)
+    return LieElement._make(bd, out)
+
+
+def _element_fold(tree) -> LieElement:
+    if isinstance(tree, Leaf):
+        return LieElement._make(word_bidegree(tree.letter), {tree.letter: 1})
+    return _element_bracket(_element_fold(tree.left), _element_fold(tree.right))
+
+
+def element_fold_normalize(expr) -> LieElement:
+    """``algebra.normalize`` before it folded on plain dicts: one element per node."""
+    expr = as_expr(expr)
+    bd = expr.bidegree()
+    if bd is None:
+        return LieElement.zero()
+    return sum((c * _element_fold(tree) for tree, c in expr.terms.items()), LieElement.zero(bd))
 
 
 def random_bidegree(rng: random.Random, max_weight: int, min_weight: int = 1) -> tuple[int, int]:

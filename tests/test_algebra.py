@@ -11,6 +11,7 @@ from helpers import (
     block_bracket,
     brute_expand_expr,
     brute_expand_tree,
+    element_fold_normalize,
     random_bidegree,
     random_expr,
     random_tree,
@@ -60,6 +61,68 @@ def test_normalize_zero_and_mixing():
         normalize(mixed)
 
 
+def test_normalize_pins_the_bidegree_error_and_typed_zeros():
+    # The first tree fixes the bidegree even when it folds to zero, and the
+    # error names the first tree that disagrees; both as BracketExpr.bidegree.
+    for text, message in (("[a,a] + [a,b]", "expression mixes bidegrees (2, 0) and (1, 1)"),
+                          ("[a,b] + 2*[b,a] + [[a,b],b] + [a,a,a]",
+                           "expression mixes bidegrees (1, 1) and (1, 2)")):
+        expr = parse_expr(text)
+        for check in (normalize, BracketExpr.bidegree):
+            with pytest.raises(BidegreeError) as info:
+                check(expr)
+            assert str(info.value) == message, (text, check)
+    for text, bd in (("[[a,b],[a,b]]", (2, 2)), ("[a,b] + [b,a]", (1, 1)), ("[a,a]", (2, 0))):
+        zero = normalize(parse_expr(text))
+        assert zero.is_zero() and zero.coeffs == {} and zero.bidegree == bd, text
+    untyped = normalize(parse_expr("[a,b] - [a,b]"))
+    assert untyped.is_zero() and untyped.bidegree is None
+
+
+def _random_sum_text(rng: random.Random, k: int, l: int, n_terms: int) -> str:
+    """A sum of n_terms trees of bidegree (k, l), some of them written as left-normed sugar."""
+    def tree(i: int, j: int) -> str:
+        # Mostly trees drawn nonzero; the rest may hold zero subtrees such as [a,a].
+        nonzero = (i and j or i + j == 1) and rng.random() < 0.9
+        return bracket_string((helpers.random_nonzero_tree if nonzero else random_tree)(rng, i, j))
+
+    terms = []
+    for _ in range(n_terms):
+        text = tree(k, l)
+        if rng.random() < 0.4:  # [x1, ..., xn] over consecutive runs of shuffled letters
+            letters = ["a"] * k + ["b"] * l
+            rng.shuffle(letters)
+            cuts = sorted(rng.sample(range(1, k + l), rng.randint(1, min(k + l - 1, 6))))
+            runs = [letters[i:j] for i, j in zip([0] + cuts, cuts + [k + l])]
+            text = "[" + ",".join(tree(r.count("a"), r.count("b")) for r in runs) + "]"
+        terms.append(f"{rng.choice((-3, -2, -1, 1, 2, 5))}*{text}")
+    return " + ".join(terms)
+
+
+def test_normalize_matches_the_former_element_fold(monkeypatch):
+    # The fold on plain dicts against the fold of LieElement brackets it
+    # replaced, on sums of 1-4 trees of weight <= 14: left-normed sugar,
+    # subtrees that fold to zero, such as [a,a], and trees drawn nonzero.
+    # It takes no separate bidegree walk and no LieElement bracket.
+    rng = random.Random(4424)
+    exprs = []
+    for i in range(300):
+        weight = rng.randint(2, 14)
+        k = rng.randint(1, weight - 1) if i % 8 else rng.choice((0, weight))  # (k, 0) or (0, l)
+        exprs.append(parse_expr(_random_sum_text(rng, k, weight - k, 1 + i % 4)))
+    expected = [element_fold_normalize(expr) for expr in exprs]
+    assert sum(x.is_zero() for x in expected) >= 10 and sum(len(e.terms) == 4 for e in exprs) >= 50
+
+    def refuse(*args):
+        raise AssertionError("normalize walked a tree twice or built a LieElement per node")
+
+    monkeypatch.setattr(algebra, "tree_bidegree", refuse)
+    monkeypatch.setattr(algebra, "bracket", refuse)
+    for expr, want in zip(exprs, expected):
+        got = normalize(expr)
+        assert got.coeffs == want.coeffs and got.bidegree == want.bidegree, expr
+
+
 def test_reduce_aborts_on_non_lie_input():
     # The single word "ab" is not a Lie element, so the reference
     # back-substitution must leave a residual and abort instead of truncating.
@@ -88,7 +151,7 @@ def test_normalize_matches_the_full_vocabulary_reference():
 
 
 def test_tree_poly_cache_holds_only_lyndon_brackets():
-    # Folding through bracket rewrites products of Lyndon words and expands
+    # Folding on coordinate dicts rewrites products of Lyndon words and expands
     # nothing, neither an input tree nor a Lyndon bracket: the cache stays
     # empty, not merely within the Lyndon words of weight <= 10.
     rng = random.Random(4406)

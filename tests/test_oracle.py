@@ -166,6 +166,18 @@ def test_oracle_determinism():
     assert first == second
 
 
+def test_random_assignment_draws_what_randint_draws():
+    # Entries come from getrandbits directly, but each seed must keep the
+    # matrices, and so the verdicts and counterexamples, of randint.
+    for dim in (2, 3, 4, 7):
+        for seed in range(2000):
+            rng = random.Random(seed)
+            a, b = ([tuple(rng.randint(oracle.LOW, oracle.HIGH) for _ in range(dim))
+                     for _ in range(dim)] for _ in range(2))
+            got = random_assignment(dim, seed)
+            assert (got.a_matrix, got.b_matrix, got.seed) == (tuple(a), tuple(b), seed), (dim, seed)
+
+
 def test_oracle_validation():
     cert = i2_certificate(2)
     with pytest.raises(ValueError):

@@ -61,9 +61,11 @@ from typing import Mapping, Union
 from .words import (
     LETTERS,
     BracketTree,
+    InconsistencyError,  # defined in words; the modules above import it from here
     Leaf,
     Node,
     bracket_string,
+    is_bidegree,
     is_lyndon,
     lyndon_bracket,
     standard_factorization,
@@ -76,8 +78,11 @@ class BidegreeError(ValueError):
     """An operation would mix distinct bidegrees."""
 
 
-class InconsistencyError(RuntimeError):
-    """An internal exactness invariant broke; results cannot be trusted."""
+def _same_bidegree(found: tuple[int, int] | None, bd: tuple[int, int]) -> tuple[int, int]:
+    """bd, the bidegree of the next tree of a sum; found is the first tree's, None before it."""
+    if found not in (None, bd):
+        raise BidegreeError(f"expression mixes bidegrees {found} and {bd}")
+    return bd
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +238,7 @@ class BracketExpr:
         """Common bidegree of all terms, None for the zero expression."""
         found: tuple[int, int] | None = None
         for tree in self.terms:
-            bd = tree_bidegree(tree)
-            if found is None:
-                found = bd
-            elif bd != found:
-                raise BidegreeError(f"expression mixes bidegrees {found} and {bd}")
+            found = _same_bidegree(found, tree_bidegree(tree))
         return found
 
     def __repr__(self) -> str:
@@ -304,7 +305,7 @@ class LieElement:
                     data[word] = c
         if bidegree is not None:
             k, l = bidegree
-            if k < 0 or l < 0 or (k, l) == (0, 0):
+            if not is_bidegree(k, l):
                 raise BidegreeError(f"invalid bidegree ({k}, {l})")
             bidegree = (k, l)
         self.bidegree = bidegree
@@ -504,9 +505,7 @@ def normalize(expr: ExprLike) -> LieElement:
     bd = None
     for tree, c in as_expr(expr).terms.items():
         coeffs, k, l = _fold(tree)
-        if bd not in (None, (k, l)):
-            raise BidegreeError(f"expression mixes bidegrees {bd} and {(k, l)}")
-        bd = (k, l)
+        bd = _same_bidegree(bd, (k, l))
         _accumulate(out, coeffs, c)
     return LieElement._make(bd, out)
 

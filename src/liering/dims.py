@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .words import check_bidegree
+from .words import check_bidegree, is_bidegree
 
 
 def mobius(n: int) -> int:
@@ -69,9 +69,7 @@ def lie_dim_bigraded(k: int, l: int) -> int:
 
 def _lie_dim_or_zero(k: int, l: int) -> int:
     # Degenerate convention used by the kernel bookkeeping.
-    if k < 0 or l < 0 or (k, l) == (0, 0):
-        return 0
-    return lie_dim_bigraded(k, l)
+    return lie_dim_bigraded(k, l) if is_bidegree(k, l) else 0
 
 
 def kernel_dim(n: int) -> int:

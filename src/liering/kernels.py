@@ -29,7 +29,8 @@ from .algebra import (
     bracket_with_letter,
     check_weight,
 )
-from .words import BracketTree, _is_lyndon_ab, check_bidegree, lyndon_bracket, lyndon_words
+from .words import (BracketTree, _is_lyndon_ab, check_bidegree, is_bidegree, lyndon_bracket,
+                    lyndon_words)
 from .zlinalg import Echelon, IntMatrix, KernelLattice, echelon, lattice_coordinates
 
 
@@ -99,9 +100,12 @@ class MembershipReport:
 
 
 def _slice_basis(k: int, l: int) -> tuple[str, ...]:
-    if k < 0 or l < 0 or (k, l) == (0, 0):
-        return ()
-    return lyndon_words(k, l)
+    return lyndon_words(k, l) if is_bidegree(k, l) else ()
+
+
+def _sides(k: int, l: int) -> tuple[tuple[str, tuple[int, int]], ...]:
+    """The pair map's two summands, in domain order: (letter, bidegree) of A, then of B."""
+    return (("a", (k - 1, l)), ("b", (k, l - 1)))
 
 
 # Hit by _pair_echelon and check_surjective: 4/4 hits/misses on balanced, 60/30 on thin.
@@ -109,18 +113,17 @@ def _slice_basis(k: int, l: int) -> tuple[str, ...]:
 def pair_matrix(k: int, l: int) -> PairMatrix:
     """Matrix of (A, B) -> [A,a] + [B,b] on the bidegree-(k, l) slice."""
     check_bidegree(k, l)
-    dom_a = _slice_basis(k - 1, l)
-    dom_b = _slice_basis(k, l - 1)
     codomain = _slice_basis(k, l)
     position = {w: i for i, w in enumerate(codomain)}
-    domain = tuple((w, "a") for w in dom_a) + tuple((w, "b") for w in dom_b)
+    domain: list[tuple[str, str]] = []
     rows: list[dict[int, int]] = [{} for _ in codomain]
-    for j, (w, letter) in enumerate(domain):
-        bd = (k - 1, l) if letter == "a" else (k, l - 1)
-        for word, c in bracket_with_letter(LieElement._make(bd, {w: 1}), letter).coeffs.items():
-            rows[position[word]][j] = c
+    for letter, bd in _sides(k, l):
+        for w in _slice_basis(*bd):
+            for word, c in bracket_with_letter(LieElement._make(bd, {w: 1}), letter).coeffs.items():
+                rows[position[word]][len(domain)] = c
+            domain.append((w, letter))
     matrix = IntMatrix.from_sparse(rows, len(domain))
-    return PairMatrix(k, l, domain, codomain, matrix)
+    return PairMatrix(k, l, tuple(domain), codomain, matrix)
 
 
 # Hit by kernel_lattice and check_surjective: 8/4 hits/misses on balanced, 40/30 on thin.
@@ -145,12 +148,10 @@ def pair_image(a_part: LieElement, b_part: LieElement) -> LieElement:
 
 def _check_certificate_shape(cert: IdentityCertificate) -> None:
     check_bidegree(cert.k, cert.l)
-    expected_a = (cert.k - 1, cert.l)
-    expected_b = (cert.k, cert.l - 1)
-    if cert.A.bidegree is not None and cert.A.bidegree != expected_a:
-        raise ValueError(f"A has bidegree {cert.A.bidegree}, expected {expected_a}")
-    if cert.B.bidegree is not None and cert.B.bidegree != expected_b:
-        raise ValueError(f"B has bidegree {cert.B.bidegree}, expected {expected_b}")
+    for name, (_, expected) in zip("AB", _sides(cert.k, cert.l)):
+        found = getattr(cert, name).bidegree
+        if found is not None and found != expected:
+            raise ValueError(f"{name} has bidegree {found}, expected {expected}")
 
 
 def _groups(terms: dict[BracketTree, int]) -> Iterator[tuple[dict, dict, int]]:
@@ -281,11 +282,8 @@ def verify_certificate(cert: IdentityCertificate) -> bool:
 def certificate_vector(cert: IdentityCertificate) -> tuple[int, ...]:
     """Coordinates of (A, B) in the canonical domain basis of the bidegree."""
     _check_certificate_shape(cert)
-    dom_a = _slice_basis(cert.k - 1, cert.l)
-    dom_b = _slice_basis(cert.k, cert.l - 1)
-    return tuple(cert.A.coeffs.get(w, 0) for w in dom_a) + tuple(
-        cert.B.coeffs.get(w, 0) for w in dom_b
-    )
+    return tuple(x.coeffs.get(w, 0) for x, (_, bd) in zip((cert.A, cert.B), _sides(cert.k, cert.l))
+                 for w in _slice_basis(*bd))
 
 
 def _element_from_slice(bd: tuple[int, int], words: tuple[str, ...], coords) -> LieElement:
@@ -297,15 +295,15 @@ def _element_from_slice(bd: tuple[int, int], words: tuple[str, ...], coords) -> 
 def kernel_certificates(k: int, l: int) -> tuple[IdentityCertificate, ...]:
     """One verified certificate per canonical kernel basis vector, checked as one batch."""
     lattice = kernel_lattice(k, l)
-    dom_a = _slice_basis(k - 1, l)
-    dom_b = _slice_basis(k, l - 1)
+    (_, bd_a), (_, bd_b) = _sides(k, l)
+    dom_a, dom_b = _slice_basis(*bd_a), _slice_basis(*bd_b)
     split = len(dom_a)
     certificates = tuple(
         IdentityCertificate(
             k,
             l,
-            _element_from_slice((k - 1, l), dom_a, vector[:split]),
-            _element_from_slice((k, l - 1), dom_b, vector[split:]),
+            _element_from_slice(bd_a, dom_a, vector[:split]),
+            _element_from_slice(bd_b, dom_b, vector[split:]),
             source="computed",
         )
         for vector in lattice.basis
@@ -414,9 +412,12 @@ def certificate_from_dict(data: dict) -> IdentityCertificate:
     k, l = _integer(data["k"], "k"), _integer(data["l"], "l")
     check_bidegree(k, l)
     check_weight(k, l)
-    return IdentityCertificate(k, l, _element_from_pairs(data["A"], (k - 1, l)),
-                               _element_from_pairs(data["B"], (k, l - 1)),
-                               source=str(data.get("source", "user")))
+    source = data.get("source", "user")
+    if not isinstance(source, str):
+        raise ValueError(f"source must be a string, got {source!r}")
+    (_, bd_a), (_, bd_b) = _sides(k, l)
+    return IdentityCertificate(k, l, _element_from_pairs(data["A"], bd_a),
+                               _element_from_pairs(data["B"], bd_b), source=source)
 
 
 def certificate_latex(cert: IdentityCertificate) -> str:

@@ -18,6 +18,10 @@ from functools import lru_cache
 LETTERS = ("a", "b")
 
 
+class InconsistencyError(RuntimeError):
+    """An internal exactness invariant broke; results cannot be trusted."""
+
+
 @dataclass(frozen=True, slots=True)
 class Leaf:
     """A single letter, a or b; any other string is refused."""
@@ -96,12 +100,17 @@ def _is_lyndon_ab(word: str) -> bool:
     return k == 0
 
 
+def is_bidegree(k: int, l: int) -> bool:
+    """Whether (k, l) has words: both components nonnegative, and not (0, 0)."""
+    return not (k < 0 or l < 0 or (k, l) == (0, 0))
+
+
 def check_bidegree(k: int, l: int) -> None:
     """Refuse a bidegree with a negative component, and (0, 0), which has no words."""
-    if k < 0 or l < 0:
-        raise ValueError(f"bidegree components must be nonnegative, got ({k}, {l})")
     if (k, l) == (0, 0):
         raise ValueError("bidegree (0, 0) is empty")
+    if not is_bidegree(k, l):
+        raise ValueError(f"bidegree components must be nonnegative, got ({k}, {l})")
 
 
 def all_words(k: int, l: int) -> tuple[str, ...]:
@@ -155,7 +164,7 @@ def standard_factorization(word: str) -> tuple[str, str]:
     u = word[: len(word) - len(v)]
     # Both parts of a standard factorization are Lyndon; the alphabet was checked above.
     if not (_is_lyndon_ab(u) and _is_lyndon_ab(v)):
-        raise AssertionError(f"standard factorization broke on {word!r}")
+        raise InconsistencyError(f"standard factorization broke on {word!r}")
     return u, v
 
 

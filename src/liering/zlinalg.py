@@ -27,6 +27,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .words import InconsistencyError
+
 
 def _check_entries(pairs: Iterable[tuple[int, int]], cols: int) -> None:
     """Refuse a column outside [0, cols) (ValueError) or an entry that is not an int (TypeError)."""
@@ -290,11 +292,12 @@ def echelon(m: IntMatrix) -> Echelon:
     The generators of the full integer kernel from ``_unit_pivot_pass``
     are canonicalized, and every returned kernel vector is re-checked
     against M exactly, all at once: one packed product per sparse row.
+    A failed re-check is an internal fault: InconsistencyError.
     """
     pivots, generators = _unit_pivot_pass(m)
     lattice = canonical_lattice(m.cols, generators)
     if lattice.rank != len(generators):
-        raise AssertionError("kernel generators were not independent")
+        raise InconsistencyError("kernel generators were not independent")
     # Column j packs entry j of vector t into slot t, W bits wide, so slot t
     # of a row's product is d_t = row . v_t, with |d_t| <= max|v| *
     # ||row||_1 < 2^(W-2).  If the product were 0 with some d_t nonzero, the
@@ -307,7 +310,7 @@ def echelon(m: IntMatrix) -> Echelon:
     for vector in reversed(lattice.basis):  # Horner: vector t lands in slot t
         columns = [(c << width) + v for c, v in zip(columns, vector)]
     if any(sum(c * columns[j] for j, c in row) for row in m.sparse_rows):
-        raise AssertionError("computed kernel vector does not annihilate the matrix")
+        raise InconsistencyError("computed kernel vector does not annihilate the matrix")
     return Echelon(pivots, lattice)
 
 

@@ -346,6 +346,30 @@ def test_a_failed_internal_verification_exits_1(capsys, monkeypatch, module, arg
 
 
 @pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda basis: ((basis[0][0] + 1,) + basis[0][1:],) + basis[1:], "does not annihilate"),
+        (lambda basis: basis[1:], "were not independent"),
+    ],
+    ids=["off the kernel", "dependent"],
+)
+def test_a_failed_echelon_recheck_exits_1(capsys, monkeypatch, spoil, message):
+    # The kernel re-check inside zlinalg.echelon is an internal fault like a
+    # failed certificate: one error line and exit 1, never a traceback.
+    kernels._pair_echelon.cache_clear()
+    real = zlinalg.canonical_lattice
+
+    def spoiled(ambient, vectors):
+        return zlinalg.KernelLattice(ambient, spoil(real(ambient, vectors).basis))
+
+    monkeypatch.setattr(zlinalg, "canonical_lattice", spoiled)
+    code, out, err = run(capsys, "kernel", "4", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == err.count("error:") == 1
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv, limit",
     [
         (("kernel", "25", "25"), "entries"),

@@ -14,7 +14,7 @@ from helpers import (
     reference_smith_invariants,
     reference_verify_certificate,
 )
-from liering import kernels, words, zlinalg
+from liering import algebra, kernels, words, zlinalg
 from liering.algebra import InconsistencyError, LieElement, _accumulate, bracket, engel
 from liering.families import i2_certificate, i33_certificate, qbad_certificate
 from liering.dims import kernel_dim, kernel_dim_a3, kernel_dim_bigraded
@@ -321,6 +321,29 @@ def test_verify_certificates_refuses_a_batch_of_two_bidegrees():
         verify_certificates([first, second])
 
 
+def test_verification_shares_no_code_with_the_rewriting(monkeypatch):
+    # The check reads Lyndon coefficients off associative expansions; the
+    # rewriting that computed the kernel vectors, the bracket, normalization
+    # and the pair map's columns must never run.  Batches are built first.
+    batches = [[dataclasses.replace(c) for c in kernel_certificates(k, l)]
+               for k, l in ((2, 2), (3, 3), (2, 6), (4, 4), (3, 6), (5, 5), (4, 6), (6, 6))]
+    batches += [[i2_certificate(6)], [i2_certificate(10)], [i33_certificate(1)],
+                [i33_certificate(2)]]
+    corrupted = [batch[:-1] + [_corrupted(batch[-1])] for batch in batches]
+
+    def rewriting(*args):
+        raise AssertionError("the check ran the rewriting")
+
+    for module, name in ((algebra, "_prod"), (algebra, "_bracket_coeffs"), (algebra, "bracket"),
+                         (algebra, "normalize"), (kernels, "bracket_with_letter")):
+        monkeypatch.setattr(module, name, rewriting)
+    with pytest.raises(AssertionError, match="ran the rewriting"):
+        pair_image(batches[0][0].A, batches[0][0].B)
+    for batch, bad in zip(batches, corrupted):
+        assert verify_certificates(batch) == (True,) * len(batch)
+        assert verify_certificates(bad) == (True,) * (len(bad) - 1) + (False,)
+
+
 def test_a_corrupted_pair_matrix_is_caught_by_verification(monkeypatch):
     # One entry added to the first column of the (3, 3) pair map moves its
     # kernel, and the certificates of the moved kernel must fail, since the
@@ -533,6 +556,9 @@ def test_certificate_serialization_boundary():
         {"k": 2.9, "l": 2, "A": [["1", "abb"]], "B": []},  # float bidegree
         {"k": 2, "l": 2, "A": [["0", "abb"], ["1", "abb"]], "B": []},  # duplicate after a zero
         {"k": 2, "l": 0, "A": ["1a"], "B": []},  # a string, not a pair
+        {"k": 2, "l": 2, "A": [], "B": [], "source": None},  # null source
+        {"k": 2, "l": 2, "A": [], "B": [], "source": {"by": "me"}},  # object source
+        {"k": 2, "l": 2, "A": [], "B": [], "source": 7},  # number source
     ],
 )
 def test_certificate_from_dict_rejects(breakage):

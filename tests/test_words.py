@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import brute_lyndon
+from liering import InconsistencyError, words
 from liering.dims import lie_dim_bigraded
 from liering.words import (
     Leaf,
@@ -19,6 +20,7 @@ from liering.words import (
     bidegree,
     check_bidegree,
     bracket_string,
+    is_bidegree,
     is_lyndon,
     lyndon_bracket,
     lyndon_words,
@@ -84,6 +86,27 @@ def test_standard_factorization_errors():
         standard_factorization("a")
     with pytest.raises(ValueError):
         standard_factorization("ba")
+
+
+def test_is_bidegree_is_the_rule_check_bidegree_enforces():
+    for k in range(-2, 4):
+        for l in range(-2, 4):
+            try:
+                check_bidegree(k, l)
+            except ValueError:
+                assert not is_bidegree(k, l), (k, l)
+            else:
+                assert is_bidegree(k, l), (k, l)
+    assert [(k, l) for k in range(-1, 2) for l in range(-1, 2) if is_bidegree(k, l)] == [
+        (0, 1), (1, 0), (1, 1)]
+
+
+def test_a_broken_factorization_is_an_internal_fault(monkeypatch):
+    # With the Lyndon test disabled, "baa" splits as "ba" . "a", and the
+    # self-check refuses the part that is not Lyndon.
+    monkeypatch.setattr(words, "is_lyndon", lambda word: True)
+    with pytest.raises(InconsistencyError, match="standard factorization broke on 'baa'"):
+        standard_factorization.__wrapped__("baa")
 
 
 def test_standard_factorization_recomposes():

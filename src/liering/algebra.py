@@ -532,6 +532,7 @@ def engel(n: int) -> LieElement:
 # atom := "a" | "b" | "[" expr { "," expr }+ "]"
 # INT is ASCII digits.  Left-normed sugar [x1, ..., xn] is folded into
 # [[x1, ..., x_{n-1}], xn] slot by slot during the parse.
+# A lone tree travels as (tree, coefficient), a sum of 0 or 2+ trees as a dict.
 
 # Deepest bracket tree parse_expr accepts: parsing and normalization take stack
 # frames per level, and much deeper input exhausts the default recursion limit.
@@ -544,8 +545,8 @@ MAX_PRODUCT_TERMS = 4096
 
 # A token is an integer or one non-space character; whitespace separates only.
 _TOKEN = re.compile(r"[0-9]+|\S")
-# Bare-letter slots, only ever read: the fold copies them, and one-slot brackets are refused.
-_LETTER_TERMS = {letter: {Leaf(letter): 1} for letter in LETTERS}
+# Each letter as a lone tree, (tree, coefficient); a pair is immutable, so it is shared.
+_LETTER_PAIRS = {letter: (Leaf(letter), 1) for letter in LETTERS}
 
 
 def check_weight(k: int, l: int) -> None:
@@ -562,10 +563,10 @@ def parse_expr(text: str) -> BracketExpr:
     where the offending token starts.
     """
     tokens = _TOKEN.findall(text) + [""]  # "" marks the end of input
-    terms, _, i = _parse_sum(text, tokens, 0, 0)
+    value, _, i = _parse_sum(text, tokens, 0, 0)
     if tokens[i]:
         _refuse(text, i, f"unexpected trailing input {tokens[i]!r}")
-    return BracketExpr._make(terms)
+    return BracketExpr._make(_terms(value))
 
 
 def _refuse(text: str, i: int, message: str):
@@ -575,9 +576,18 @@ def _refuse(text: str, i: int, message: str):
     raise ValueError(f"parse error at position {starts[i]}: {message}")
 
 
-def _parse_sum(text: str, tokens: list[str], i: int, nesting: int) -> tuple[dict, int, int]:
-    """The sum at token i, ``nesting`` brackets deep: (terms, depth of its deepest tree, next i)."""
-    out: dict[BracketTree, int] = {}
+def _terms(value: tuple | dict) -> dict:
+    """A parsed value as a {tree: coefficient} dict: a lone tree's is new, a sum's is itself."""
+    return {value[0]: value[1]} if type(value) is tuple else value
+
+
+def _parse_sum(text: str, tokens: list[str], i: int, nesting: int) -> tuple[tuple | dict, int, int]:
+    """The sum at token i, ``nesting`` brackets deep: (value, depth of its deepest tree, next i).
+
+    The value is a lone tree as (tree, coefficient), and any other sum a
+    ``{tree: coefficient}`` dict of 0 or 2+ trees; no coefficient is 0.
+    """
+    out = None  # no term yet
     depth, op = 0, tokens[i]
     if op == "+" or op == "-":
         i += 1
@@ -596,7 +606,7 @@ def _parse_sum(text: str, tokens: list[str], i: int, nesting: int) -> tuple[dict
             i += 2
             tok = tokens[i]
         if tok == "a" or tok == "b":
-            atom, atom_depth, i = dict(_LETTER_TERMS[tok]), 0, i + 1
+            atom, atom_depth, i = _LETTER_PAIRS[tok], 0, i + 1
         elif tok == "[":
             if nesting == MAX_DEPTH:
                 _refuse(text, i, f"brackets nest deeper than {MAX_DEPTH} levels")
@@ -606,7 +616,7 @@ def _parse_sum(text: str, tokens: list[str], i: int, nesting: int) -> tuple[dict
                 # same) is the whole slot; any other slot is a sum one level deeper.
                 start, tok = i + 1, tokens[i + 1]
                 if (tok == "a" or tok == "b") and tokens[i + 2] in ",]":
-                    slot, slot_depth, i = _LETTER_TERMS[tok], 0, i + 2
+                    slot, slot_depth, i = _LETTER_PAIRS[tok], 0, i + 2
                 else:
                     slot, slot_depth, i = _parse_sum(text, tokens, i + 1, nesting + 1)
                 slots += 1
@@ -615,15 +625,17 @@ def _parse_sum(text: str, tokens: list[str], i: int, nesting: int) -> tuple[dict
                 # [x1, ..., xn] puts x1 n-1 levels deep and xi (i >= 2) n-i+1.  Past
                 # MAX_DEPTH the bracket is refused, and folding on could only blow up.
                 elif (atom_depth := max(atom_depth, slot_depth) + 1) <= MAX_DEPTH:
-                    if len(atom) == 1 and len(slot) == 1:
-                        ((s, cs),), ((t, ct),) = atom.items(), slot.items()
-                        atom = {Node(s, t): cs * ct}
-                    elif len(atom) * len(slot) > MAX_PRODUCT_TERMS:
-                        _refuse(text, start, f"bracket multiplies out to {len(atom) * len(slot)}"
-                                f" trees, past the limit of {MAX_PRODUCT_TERMS}")
-                    else:  # distinct (s, t) pairs give distinct Node(s, t) keys
-                        atom = {Node(s, t): cs * ct for s, cs in atom.items()
-                                for t, ct in slot.items()}
+                    if type(atom) is tuple and type(slot) is tuple:
+                        (s, cs), (t, ct) = atom, slot
+                        atom = (Node(s, t), cs * ct)
+                    else:  # a real sum on one side: a product of 0 or 2+ trees
+                        left, right = _terms(atom), _terms(slot)
+                        if len(left) * len(right) > MAX_PRODUCT_TERMS:
+                            _refuse(text, start, f"bracket multiplies out to {len(left) * len(right)}"
+                                    f" trees, past the limit of {MAX_PRODUCT_TERMS}")
+                        # Distinct (s, t) pairs give distinct Node(s, t) keys: nothing to merge.
+                        atom = {Node(s, t): cs * ct for s, cs in left.items()
+                                for t, ct in right.items()}
             if tokens[i] != "]":
                 _refuse(text, i, f"expected ']', got {tokens[i]!r}")
             i += 1
@@ -633,8 +645,13 @@ def _parse_sum(text: str, tokens: list[str], i: int, nesting: int) -> tuple[dict
                 _refuse(text, opened, f"brackets nest deeper than {MAX_DEPTH} levels")
         else:
             _refuse(text, i, f"expected a letter or '[', got {tok!r}")
-        out = atom if coeff == 1 and not out else _accumulate(out, atom, coeff)
+        if out is None and coeff == 1:  # the first term, reused as it is
+            out = atom
+        else:  # the sum as a dict, until it returns
+            out = _accumulate({} if out is None else _terms(out), _terms(atom), coeff)
         depth, op = max(depth, atom_depth), tokens[i]
         if op != "+" and op != "-":
+            if type(out) is dict and len(out) == 1:  # one tree left: back to (tree, coefficient)
+                (out,) = out.items()
             return out, depth, i
         i += 1

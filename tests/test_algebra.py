@@ -1,6 +1,7 @@
 """Bracket expressions, associative expansion, and basis normalization."""
 
 import random
+import re
 import sys
 import time
 
@@ -654,6 +655,66 @@ def test_parse_expr_refuses_a_product_past_the_term_limit(capsys):
     assert cli.main(["normalize", slots(20)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: parse error at position 49: ")
+
+
+def _parse_outcome_text(parse, text):
+    """The terms in order, or the error's text."""
+    try:
+        return list(parse(text).terms.items())
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("text", [
+    # Slots that cancel down to one tree or to nothing.
+    "[[a,b]-[a,b]+[a,b],b]", "[a+b-b,b,a]", "[a-a,b]", "[0*a,b,a]", "[2*a-a,b]", "[a+a,b]",
+    "[[a+b-b,b]-[a,b]+[a,b],a]", "[[a,b]+[b,a]-[b,a],[a-a,b]]", "[a+b,0*b]", "[a+b,b-b+a,a]",
+    "[b,a-a+a-a]", "[-a+a+a,[b-a+a,a]]",
+    # Top-level sums that cancel down to one tree or to nothing.
+    "[a,b] + [b,a] - [b,a]", "a - a + b", "2*[a,b] - [a,b]", "[a,b] - [a,b]", "0*a", "-0*[a,b]",
+    "[a,b,b] - [a,b,b] + [a-a+a,b,b]",
+    # Refused next to a value that switches form.
+    "[a-a,b", "[a+b-b,b", "[2*a-a,b]]", "[a+b-b,,b]", "[a-a+,b]", "[a-a,b]+c", "[a-a,b,]",
+])
+def test_parse_expr_where_a_lone_tree_and_a_sum_switch(text):
+    # A lone tree travels as (tree, coefficient) and a sum of more as a dict:
+    # the reference builds every value as an expression.
+    got = _parse_outcome_text(parse_expr, text)
+    assert got == _parse_outcome_text(reference_parse_expr, text)
+    assert isinstance(got, str) or all(c for _, c in got)
+
+
+@pytest.mark.parametrize("text, error", [
+    # The reference names these elsewhere: a one-slot bracket where it closes,
+    # the end of input by what it expected.
+    ("[a+b-b]", "position 0: a bracket needs at least two slots"),
+    (" [a-a+b] ", "position 1: a bracket needs at least two slots"),
+    ("[a-a,b]+", "position 8: unexpected end of input"),
+    ("[a-a,b c]", "position 7: expected ']', got 'c'"),
+])
+def test_parse_expr_errors_next_to_a_cancelled_sum(text, error):
+    with pytest.raises(ValueError, match=f"^parse error at {re.escape(error)}$"):
+        parse_expr(text)
+
+
+def test_product_limit_counts_a_cancelled_slot_as_one_tree():
+    # A slot that cancels down to one tree counts 1 toward the limit, wherever it
+    # stands, and the error still names the slot that crosses it.
+    def text(slots):
+        return "[" + ",".join(slots) + "]"
+
+    for lone in ("a+b-b", "a-a+a", "2*a-a"):
+        for at in (0, 5, 12):
+            accepted = ["a+b"] * 12
+            accepted.insert(at, lone)
+            plain = [slot if slot != lone else "a" for slot in accepted]
+            assert parse_expr(text(accepted)) == parse_expr(text(plain))
+            assert len(parse_expr(text(accepted)).terms) == algebra.MAX_PRODUCT_TERMS
+            refused = accepted + ["a+b"]
+            position = len(text(refused)) - 1 - len("a+b")
+            with pytest.raises(ValueError, match=f"^parse error at position {position}: bracket "
+                                                 "multiplies out to 8192 trees, past the limit"):
+                parse_expr(text(refused))
 
 
 def _left_normed_string(tree) -> str:

@@ -222,6 +222,24 @@ def test_node_hash_is_stored_once():
             setattr(x, name, Leaf("a"))
 
 
+def test_node_init_takes_the_children_only():
+    # Node writes its own __init__; the dataclass machinery must still see three
+    # fields, of which only the children are passed in.
+    x = _two_copies()[0]
+    assert [f.name for f in dataclasses.fields(Node)] == ["left", "right", "_hash"]
+    y = dataclasses.replace(x, left=Leaf("b"))
+    assert y == Node(Leaf("b"), x.right) and hash(y) == hash((Leaf("b"), x.right))
+    z = dataclasses.replace(x, right=x.left)
+    assert (z.left, z.right) == (x.left, x.left) and hash(z) == hash((x.left, x.left))
+    assert Node(left=x.right, right=x.left) == Node(x.right, x.left)
+    with pytest.raises(TypeError):
+        Node(x.left, x.right, hash(x))
+    with pytest.raises(TypeError):
+        Node(x.left, x.right, _hash=hash(x))
+    with pytest.raises(TypeError):
+        Node(x.left)
+
+
 def test_leaf_refuses_a_letter_outside_the_alphabet():
     assert Leaf("a").letter == "a" and Leaf("b") == lyndon_bracket("b")
     for letter in ("c", "", "ab", "A", None, 0):

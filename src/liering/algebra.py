@@ -32,7 +32,14 @@ one at a time.  ``normalize`` maps the first representation onto
 the second by folding each tree on such dicts, a leaf its letter and
 [L, R] the product of the folded children, and counts the tree's a's and
 b's in the same walk; it builds one :class:`LieElement` per call, not one
-per node.  ``_tree_poly``, the cached expansion [x, y] = xy - yx of a tree
+per node.  The fold of every subtree of weight at most
+``FOLD_MEMO_WEIGHT`` = 6 is memoized in ``_FOLDS`` for the life of the
+process, and looked up before its children are folded.  Only the weight
+from the fold itself admits a tree, so the memo is bounded by the 3236
+bracket trees of weight 2 to 6 whatever the input; it reached 748 of them
+on the 2000 expressions of the ``normalize`` benchmark workload (seed 2600),
+which hit it 10050 times: small shapes recur across unrelated
+expressions.  ``_tree_poly``, the cached expansion [x, y] = xy - yx of a tree
 in the free associative ring, serves only ``assoc_expand``, which applies
 it to an arbitrary expression for checks against the associative ring,
 and the certificate check in ``kernels``, which reads it only for the
@@ -480,13 +487,30 @@ def bracket_with_letter(x: LieElement, letter: str) -> LieElement:
 # normalization
 
 
+# Heaviest subtree whose fold _FOLDS keeps.  There are Catalan(n - 1) * 2^n trees
+# of weight n, so it holds at most 4 + 16 + 80 + 448 + 2688 = 3236; a cap of 5 or 8
+# was no faster on the normalize workload, and 8 took 1.7 MB more (ROADMAP, aim 2).
+FOLD_MEMO_WEIGHT = 6
+
+# Hit by _fold: 10050/748 hits/misses on normalize (bench items, seed 2600); its
+# 15183 lookups of heavier trees miss and store nothing.  (coordinates, a's, b's)
+# of each tree of weight <= FOLD_MEMO_WEIGHT folded so far; shared and only ever
+# read, like _LEAF_FOLDS and _prod's dicts.
+_FOLDS: dict[Node, tuple[dict[str, int], int, int]] = {}
+
+
 def _fold(tree: BracketTree) -> tuple[dict[str, int], int, int]:
     """(Lyndon coordinates, a's, b's) of one tree, bracketed and counted in one walk."""
     if isinstance(tree, Leaf):
         return _LEAF_FOLDS[tree.letter]
-    x, xk, xl = _fold(tree.left)
-    y, yk, yl = _fold(tree.right)
-    return _bracket_coeffs(x, y), xk + yk, xl + yl
+    folded = _FOLDS.get(tree)
+    if folded is None:
+        x, xk, xl = _fold(tree.left)
+        y, yk, yl = _fold(tree.right)
+        folded = _bracket_coeffs(x, y), xk + yk, xl + yl
+        if xk + yk + xl + yl <= FOLD_MEMO_WEIGHT:
+            _FOLDS[tree] = folded
+    return folded
 
 
 def normalize(expr: ExprLike) -> LieElement:
@@ -494,10 +518,12 @@ def normalize(expr: ExprLike) -> LieElement:
 
     Each tree is folded from the leaves up on plain coordinate dicts by
     ``_bracket_coeffs``, so the Lyndon rewriting is the only path, and its
-    a's and b's are counted in the same walk.  c times each tree's
-    coordinates are summed into one fresh dict, and one :class:`LieElement`
-    is built.  A tree that folds to zero still fixes the bidegree; the
-    empty expression gives the untyped zero.  Raises
+    a's and b's are counted in the same walk.  A subtree of weight at most
+    ``FOLD_MEMO_WEIGHT`` is folded once per process and then read from
+    ``_FOLDS`` (at most 3236 trees; see the module docstring).  c times
+    each tree's coordinates are summed into one fresh dict, and one
+    :class:`LieElement` is built.  A tree that folds to zero still fixes
+    the bidegree; the empty expression gives the untyped zero.  Raises
     :class:`BidegreeError`, with the message of :meth:`BracketExpr.bidegree`,
     at the first tree whose bidegree differs from the first tree's.
     """

@@ -12,7 +12,8 @@ and its helpers, moved here unchanged), the reference for ``algebra._prod``.
 for saturated kernels and trivial cokernels now that the package reads
 surjectivity off its echelon pivots, and ``reference_parse_expr`` a
 character-walking parser of the grammar ``algebra.parse_expr`` reads from one
-token list, building every expression through ``left_normed``.
+token list, building every expression through ``left_normed`` and naming
+every error where README says: at the start of the offending token.
 ``reference_echelon`` is ``zlinalg.echelon`` by the dense HNF of the whole
 [M^T | I], where the package reduces only the core its unit-pivot pass
 leaves, and ``reference_verify_certificate`` the check of a
@@ -42,6 +43,7 @@ from typing import Mapping
 from liering import zlinalg
 from liering.algebra import (
     MAX_DEPTH,
+    MAX_PRODUCT_TERMS,
     BracketExpr,
     InconsistencyError,
     LieElement,
@@ -475,18 +477,26 @@ def reference_parse_expr(text: str) -> BracketExpr:
     """The grammar of ``algebra.parse_expr``, read character by character."""
     parser = _Parser(text)
     expr, _ = parser.parse_sum()
-    parser.expect_end()
+    if parser.peek() is not None:
+        parser.error(f"unexpected trailing input {parser.token()!r}")
     return expr
 
 
 class _Parser:
+    # README's rule: a token is an integer or one non-space character, and an
+    # error names the position where the offending token starts, by default the
+    # next one; at the end of input it says only that.
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.nesting = 0
 
-    def error(self, message: str):
-        raise ValueError(f"parse error at position {self.pos}: {message}")
+    def error(self, message: str, at: int | None = None):
+        self.skip_ws()
+        at = self.pos if at is None else at
+        if at == len(self.text):
+            message = "unexpected end of input"
+        raise ValueError(f"parse error at position {at}: {message}")
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -496,30 +506,33 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else None
 
+    def token(self) -> str | None:
+        """The whole next token, without taking it; None at the end of input."""
+        if self.peek() is None:
+            return None
+        end = self.pos
+        while end < len(self.text) and "0" <= self.text[end] <= "9":
+            end += 1
+        return self.text[self.pos : max(end, self.pos + 1)]
+
     def take(self) -> str:
-        ch = self.peek()
-        if ch is None:
-            self.error("unexpected end of input")
+        ch = self.peek()  # every caller has peeked a character here
         self.pos += 1
         return ch
 
     def expect(self, ch: str) -> None:
-        got = self.take()
-        if got != ch:
-            self.error(f"expected {ch!r}, got {got!r}")
-
-    def expect_end(self) -> None:
-        if self.peek() is not None:
-            self.error(f"unexpected trailing input {self.text[self.pos:]!r}")
+        if self.peek() != ch:
+            self.error(f"expected {ch!r}, got {self.token()!r}")
+        self.take()
 
     def parse_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        digits = self.token()
+        try:
+            value = int(digits)
+        except ValueError:  # past the interpreter's limit on integer digits
+            self.error(f"integer of {len(digits)} digits is too long")
+        self.pos += len(digits)
+        return value
 
     # The parse methods return (expression, depth of its deepest tree).
     def parse_sum(self) -> tuple[BracketExpr, int]:
@@ -554,25 +567,37 @@ class _Parser:
         if ch in LETTERS:
             self.take()
             return BracketExpr.letter(ch), 0
-        if ch == "[":
+        if ch != "[":
+            self.error(f"expected a letter or '[', got {self.token()!r}")
+        opened = self.pos
+        if self.nesting == MAX_DEPTH:
+            self.error(f"brackets nest deeper than {MAX_DEPTH} levels")
+        self.take()
+        self.nesting += 1
+        expr, depth = self.parse_sum()
+        slots = 1
+        while self.peek() == ",":
             self.take()
-            self.nesting += 1
-            if self.nesting > MAX_DEPTH:
-                self.error(f"brackets nest deeper than {MAX_DEPTH} levels")
-            slots = [self.parse_sum()]
-            while self.peek() == ",":
-                self.take()
-                slots.append(self.parse_sum())
-            self.expect("]")
-            self.nesting -= 1
-            if len(slots) < 2:
-                self.error("a bracket needs at least two slots")
-            # [x1, ..., xn] puts x1 n-1 levels deep and xi (i >= 2) n-i+1.
-            depth = max(d + len(slots) - max(i, 1) for i, (_, d) in enumerate(slots))
-            if depth > MAX_DEPTH:
-                self.error(f"brackets nest deeper than {MAX_DEPTH} levels")
-            return left_normed(*(x for x, _ in slots)), depth
-        self.error(f"expected a letter or '[', got {ch!r}")
+            self.skip_ws()
+            start = self.pos
+            slot, slot_depth = self.parse_sum()
+            slots += 1
+            # [x1, ..., xn] puts x1 n-1 levels deep and xi (i >= 2) n-i+1; each
+            # slot is multiplied in as it closes, and none past MAX_DEPTH.
+            depth = max(depth, slot_depth) + 1
+            if depth <= MAX_DEPTH:
+                product = len(expr.terms) * len(slot.terms)
+                if product > MAX_PRODUCT_TERMS:
+                    self.error(f"bracket multiplies out to {product} trees, past the limit"
+                               f" of {MAX_PRODUCT_TERMS}", start)
+                expr = left_normed(expr, slot)
+        self.expect("]")
+        self.nesting -= 1
+        if slots < 2:
+            self.error("a bracket needs at least two slots", opened)
+        if depth > MAX_DEPTH:
+            self.error(f"brackets nest deeper than {MAX_DEPTH} levels", opened)
+        return expr, depth
 
 
 # ---------------------------------------------------------------------------

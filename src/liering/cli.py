@@ -11,7 +11,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _encode
 
-from . import dims
+from . import dims, kernels
 from .algebra import InconsistencyError, check_weight, normalize, parse_expr
 from .families import FAMILY_BUILDERS, i2_certificate, i33_certificate
 from .kernels import (
@@ -191,7 +191,8 @@ def _cmd_family(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            # An integer literal past the interpreter's digit limit is refused as a string is.
+            data = json.load(handle, parse_int=lambda text: kernels._integer(text, "integer"))
         except RecursionError:
             raise ValueError(f"{args.file} nests its JSON too deeply to read") from None
     cert = certificate_from_dict(data)

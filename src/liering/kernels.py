@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .words import (BracketTree, _is_lyndon_ab, check_bidegree, is_bidegree, lyndon_bracket,
                     lyndon_words)
-from .zlinalg import Echelon, IntMatrix, KernelLattice, echelon, lattice_coordinates
+from .zlinalg import Echelon, IntMatrix, KernelLattice, canonical_lattice, echelon
 
 
 @dataclass(frozen=True)
@@ -340,17 +340,21 @@ def check_surjective(k: int, l: int) -> SurjectivityReport:
 def lattice_membership(cert: IdentityCertificate) -> MembershipReport:
     """Locate a verified certificate inside the computed kernel lattice.
 
-    For rank-1 kernels the index of the vector against the generator is
+    The certificate vector v is a member exactly when the canonical form of
+    the kernel basis with v appended is the kernel lattice itself.  That
+    lattice can be compared as it is, since ``echelon`` returns it already
+    canonical.  For rank-1 kernels v = c*g for the canonical generator g,
+    and the index |c| = |v_j // g_j| at the first j with g_j != 0 is
     reported, so "generates" claims become exact index-1 statements.
     """
     if not cert.verified:
         raise ValueError("certificate must be verified before membership checks")
     lattice = kernel_lattice(cert.k, cert.l)
-    coords = lattice_coordinates(lattice, certificate_vector(cert))
-    member = coords is not None
+    vector = certificate_vector(cert)
+    member = canonical_lattice(lattice.ambient, (*lattice.basis, vector)) == lattice
     index = generator = None
     if member and lattice.rank == 1:
-        index = abs(coords[0])
+        index = next(abs(v // g) for v, g in zip(vector, lattice.basis[0]) if g)
         generator = index == 1
     return MembershipReport(member, lattice.rank, index, generator)
 
@@ -365,11 +369,14 @@ def element_pairs(x: LieElement) -> list[list[str]]:
 
 
 def _integer(value, what: str) -> int:
-    """A JSON integer or a decimal string; floats and booleans are refused."""
+    """A JSON integer or a decimal string; floats, booleans and too many digits are refused."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise ValueError(f"integer of {len(value.lstrip('-'))} digits is too long") from None
     raise ValueError(f"{what} must be an integer or a decimal string, got {value!r}")
 
 

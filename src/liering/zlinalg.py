@@ -4,15 +4,23 @@ matrix, and canonical bases of integer kernel lattices.
 Everything works on arbitrary-precision Python integers; there is no
 floating point anywhere.  ``IntMatrix`` keeps the nonzero entries of each
 row and builds its dense rows only when they are read.  There are two
-elimination loops.  ``_row_echelon`` is a dense row Hermite normal form:
-positive pivots, entries above each pivot reduced into [0, pivot), nonzero
-rows first.  Pivots of minimal absolute value keep intermediate entries
-small in practice (with exact arithmetic this is a performance choice
-only).  Since HNF is unique per row lattice, canonicalizing a basis makes
-lattice equality a plain comparison.  ``_unit_pivot_pass`` is a sparse
-elimination that takes only pivots of +1 or -1, so it never divides; the
-rows it cannot pivot that way are left, on the columns that took no
-pivot, as a small core that ``_hnf_pass`` reduces with ``_row_echelon``.
+elimination loops, one dense and one sparse.
+
+``_row_echelon`` is a dense row Hermite normal form: positive pivots,
+entries above each pivot reduced into [0, pivot), nonzero rows first.  Its
+one row operation, ``_reduce``, subtracts a floor multiple of the pivot
+row.  Pivots of minimal absolute value keep intermediate entries small in
+practice (with exact arithmetic this is a performance choice only).  HNF
+is unique per row lattice, so ``canonical_lattice``, the HNF of spanning
+vectors, decides everything else about lattices: two lattices are equal
+when their canonical bases compare equal (``lattice_equal``), and a vector
+lies in a canonical lattice exactly when appending it to the basis leaves
+the canonical form as it is (``kernels.lattice_membership``).
+
+``_unit_pivot_pass`` is a sparse elimination that takes only pivots of +1
+or -1, so it never divides; the rows it cannot pivot that way are left, on
+the columns that took no pivot, as a small core that ``_hnf_pass`` reduces
+with ``_row_echelon``.
 
 ``echelon`` is the one pass per matrix the rest of the package needs: the
 rank of M, the pivots that decide whether M maps onto Z^rows, and the
@@ -97,6 +105,17 @@ class IntMatrix:
                 "entries": [str(v) for row in self.entries for v in row]}
 
 
+def _reduce(row_i: list[int], row_p: list[int], col: int) -> None:
+    """Subtract q * row_p from row_i in place, q = row_i[col] // row_p[col].
+
+    row_p is zero before ``col``, so only the entries from ``col`` on change.
+    """
+    q = row_i[col] // row_p[col]
+    if q:
+        for j in range(col, len(row_i)):
+            row_i[j] -= q * row_p[j]
+
+
 def _row_echelon(mat: list[list[int]], cols: int) -> int:
     """Bring ``mat`` to row Hermite normal form in place and return its rank.
 
@@ -118,27 +137,17 @@ def _row_echelon(mat: list[list[int]], cols: int) -> int:
             pivot = min(nonzero, key=lambda i: abs(mat[i][col]))
             if len(nonzero) == 1:
                 break
-            row_p = mat[pivot]
             for i in nonzero:
-                if i == pivot:
-                    continue
-                row_i = mat[i]
-                q = row_i[col] // row_p[col]
-                if q:
-                    for j in range(col, len(row_i)):
-                        row_i[j] -= q * row_p[j]
+                if i != pivot:
+                    _reduce(mat[i], mat[pivot], col)
         if pivot is None:
             continue
         if pivot != rank:
             mat[pivot], mat[rank] = mat[rank], mat[pivot]
         if mat[rank][col] < 0:
             mat[rank] = [-v for v in mat[rank]]
-        row_p = mat[rank]
         for row_i in mat[:rank]:
-            q = row_i[col] // row_p[col]
-            if q:
-                for j in range(col, len(row_i)):
-                    row_i[j] -= q * row_p[j]
+            _reduce(row_i, mat[rank], col)
         rank += 1
     return rank
 
@@ -322,24 +331,3 @@ def lattice_equal(x: KernelLattice, y: KernelLattice) -> bool:
     if x.ambient != y.ambient:
         raise ValueError(f"ambient dimensions differ: {x.ambient} != {y.ambient}")
     return canonical_lattice(x.ambient, x.basis).basis == canonical_lattice(y.ambient, y.basis).basis
-
-
-def lattice_coordinates(lat: KernelLattice, vector: Sequence[int]) -> tuple[int, ...] | None:
-    """Integer coordinates of a vector on the canonical basis of the lattice, or None."""
-    if len(vector) != lat.ambient:
-        raise ValueError(f"vector length {len(vector)} != ambient {lat.ambient}")
-    lat = canonical_lattice(lat.ambient, lat.basis)
-    residual = list(vector)
-    coords = []
-    for row in lat.basis:
-        pcol = next(j for j, v in enumerate(row) if v)
-        q, r = divmod(residual[pcol], row[pcol])
-        if r:
-            return None
-        if q:
-            for j in range(pcol, lat.ambient):
-                residual[j] -= q * row[j]
-        coords.append(q)
-    if any(residual):
-        return None
-    return tuple(coords)

@@ -159,6 +159,19 @@ def test_verify_rejects_bad_certificates(capsys, tmp_path):
     assert code == 2 and err.startswith("error: modulus")
 
 
+def test_verify_refuses_integers_past_the_digit_limit(capsys, tmp_path):
+    # The interpreter itself refuses to read them; verify names their length instead.
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    payload = tmp_path / "long.json"
+    for record in (f'{{"k": 2, "l": 2, "A": [["{digits}", "abb"]], "B": []}}',
+                   f'{{"k": 2, "l": 2, "A": [[-{digits}, "abb"]], "B": []}}',
+                   f'{{"k": {digits}, "l": 2, "A": [], "B": []}}'):
+        payload.write_text(record)
+        code, out, err = run(capsys, "verify", str(payload))
+        assert (code, out) == (2, "")
+        assert err == f"error: integer of {len(digits)} digits is too long\n"
+
+
 def test_normalize_command(capsys):
     code, out, _ = run(capsys, "normalize", "[[a,b],b]")
     assert json.loads(out) == {"bidegree": [1, 2], "terms": [["1", "abb"]]}

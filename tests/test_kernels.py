@@ -488,10 +488,36 @@ def test_lattice_membership():
     assert verify_certificate(doubled)
     report = lattice_membership(doubled)
     assert report.member and report.index == 2 and not report.generator
+    for c in (-3, 5):
+        multiple = IdentityCertificate(2, 2, c * cert.A, c * cert.B)
+        assert verify_certificate(multiple)
+        report = lattice_membership(multiple)
+        assert report.member and report.kernel_rank == 1
+        assert report.index == abs(c) and report.generator is False
+
+    # A rank-2 slice: members, but no index or generator is reported.
+    first, second = kernel_certificates(3, 9)
+    total = IdentityCertificate(3, 9, first.A + second.A, first.B + second.B)
+    assert verify_certificate(total)
+    for member in (first, second, total):
+        report = lattice_membership(member)
+        assert report.member and report.kernel_rank == 2
+        assert report.index is None and report.generator is None
 
     unverified = IdentityCertificate(2, 2, cert.A, cert.B)
     with pytest.raises(ValueError):
         lattice_membership(unverified)
+
+
+def test_a_vector_outside_the_kernel_lattice_is_not_a_member(monkeypatch):
+    # The lattice spanned by twice the (2, 2) generator does not hold the generator.
+    cert = kernel_certificates(2, 2)[0]
+    (generator,) = kernel_lattice(2, 2).basis
+    doubled = canonical_lattice(2, [[2 * v for v in generator]])
+    monkeypatch.setattr(kernels, "kernel_lattice", lambda k, l: doubled)
+    report = lattice_membership(cert)
+    assert not report.member and report.kernel_rank == 1
+    assert report.index is None and report.generator is None
 
 
 def test_cached_certificates_are_frozen():

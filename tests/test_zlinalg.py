@@ -17,7 +17,6 @@ from liering.zlinalg import (
     _row_echelon,
     canonical_lattice,
     echelon,
-    lattice_coordinates,
     lattice_equal,
 )
 
@@ -233,16 +232,6 @@ def test_lattice_equal_examples():
         lattice_equal(x, KernelLattice(3, ((1, 1, 0),)))
 
 
-def test_lattice_coordinates():
-    lat = canonical_lattice(3, [[1, 0, 1], [0, 2, 0]])
-    assert lattice_coordinates(lat, (1, 2, 1)) == (1, 1)
-    assert lattice_coordinates(lat, (0, 1, 0)) is None
-    assert lattice_coordinates(lat, (0, 0, 0)) == (0, 0)
-    assert lattice_coordinates(lat, (1, 0, 0)) is None
-    with pytest.raises(ValueError):
-        lattice_coordinates(lat, (1, 0))
-
-
 def test_matrix_keeps_the_nonzeros_of_each_row():
     dense = [[0, -2, 0, 5], [0, 0, 0, 0], [-1, 0, 3, 0]]
     m = IntMatrix(dense)
@@ -307,7 +296,7 @@ def test_fuzz_hnf_and_kernel(entries):
     assert onto == (reference_smith_invariants(m) == (1,) * m.rows)
     for vector in lat.basis:
         assert not any(apply(m, vector))
-        assert lattice_coordinates(lat, vector) is not None
+        assert canonical_lattice(lat.ambient, (*lat.basis, vector)) == lat
     if lat.rank:
         # Unit invariant factors: the basis spans the full integer kernel.
         basis_matrix = IntMatrix([list(v) for v in lat.basis])

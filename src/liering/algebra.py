@@ -650,7 +650,9 @@ def _parse_sum(text: str, tokens: list[str], i: int, nesting: int) -> tuple[tupl
                     atom, atom_depth = slot, slot_depth
                 # [x1, ..., xn] puts x1 n-1 levels deep and xi (i >= 2) n-i+1.  Past
                 # MAX_DEPTH the bracket is refused, and folding on could only blow up.
-                elif (atom_depth := max(atom_depth, slot_depth) + 1) <= MAX_DEPTH:
+                # The depths take the larger by a conditional: max() is a call per slot.
+                elif (atom_depth := (atom_depth if atom_depth > slot_depth
+                                     else slot_depth) + 1) <= MAX_DEPTH:
                     if type(atom) is tuple and type(slot) is tuple:
                         (s, cs), (t, ct) = atom, slot
                         atom = (Node(s, t), cs * ct)
@@ -675,7 +677,7 @@ def _parse_sum(text: str, tokens: list[str], i: int, nesting: int) -> tuple[tupl
             out = atom
         else:  # the sum as a dict, until it returns
             out = _accumulate({} if out is None else _terms(out), _terms(atom), coeff)
-        depth, op = max(depth, atom_depth), tokens[i]
+        depth, op = (depth if depth > atom_depth else atom_depth), tokens[i]
         if op != "+" and op != "-":
             if type(out) is dict and len(out) == 1:  # one tree left: back to (tree, coefficient)
                 (out,) = out.items()

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from helpers import brute_lyndon
 from liering import InconsistencyError, words
+from liering.algebra import parse_expr
 from liering.dims import lie_dim_bigraded
 from liering.words import (
     Leaf,
@@ -212,7 +213,7 @@ def _two_copies():
 def test_node_hash_is_stored_once():
     x, y = _two_copies()
     assert x is not y and x == y and hash(x) == hash(y)
-    assert hash(x) == hash((x.left, x.right))
+    assert hash(x) == hash((hash(x.left), hash(x.right)))
     assert {x: 1}[y] == 1
     assert x != Node(x.right, x.left)
     assert repr(x) == ("Node(left=Node(left=Leaf(letter='a'), right=Node(left=Leaf(letter='a'), "
@@ -228,9 +229,9 @@ def test_node_init_takes_the_children_only():
     x = _two_copies()[0]
     assert [f.name for f in dataclasses.fields(Node)] == ["left", "right", "_hash"]
     y = dataclasses.replace(x, left=Leaf("b"))
-    assert y == Node(Leaf("b"), x.right) and hash(y) == hash((Leaf("b"), x.right))
+    assert y == Node(Leaf("b"), x.right) and hash(y) == hash((hash(Leaf("b")), hash(x.right)))
     z = dataclasses.replace(x, right=x.left)
-    assert (z.left, z.right) == (x.left, x.left) and hash(z) == hash((x.left, x.left))
+    assert (z.left, z.right) == (x.left, x.left) and hash(z) == hash((hash(x.left), hash(x.left)))
     assert Node(left=x.right, right=x.left) == Node(x.right, x.left)
     with pytest.raises(TypeError):
         Node(x.left, x.right, hash(x))
@@ -245,18 +246,75 @@ def test_leaf_refuses_a_letter_outside_the_alphabet():
     for letter in ("c", "", "ab", "A", None, 0):
         with pytest.raises(ValueError, match="letter must be one of"):
             Leaf(letter)
+    assert repr(Leaf("a")) == "Leaf(letter='a')"
+    assert [f.name for f in dataclasses.fields(Leaf)] == ["letter", "_hash"]
+    for name in ("letter", "_hash"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(Leaf("a"), name, "b")
+    with pytest.raises(TypeError):
+        Leaf("a", hash("a"))
 
 
 def test_unpickled_node_rehashes_in_another_process():
     # String hashes depend on the process, so a stored hash must not travel.
     tree = _two_copies()[0]
     script = ("import pickle, sys; t = pickle.loads(sys.stdin.buffer.read()); "
-              "print(hash(t) == hash((t.left, t.right)) and hash(t.left) == hash((t.left.left, t.left.right)))")
+              "print(hash(t) == hash((hash(t.left), hash(t.right)))"
+              " and hash(t.left) == hash((hash(t.left.left), hash(t.left.right))))")
     env = dict(os.environ, PYTHONHASHSEED="12345")
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
     out = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(tree),
                          capture_output=True, env=env, check=True)
     assert out.stdout.strip() == b"True"
+
+
+def test_unpickled_leaf_and_node_hash_as_fresh_trees_in_another_process():
+    # A Leaf stores the hash of its letter too; it must be recomputed, never unpickled.
+    trees = [Leaf("a"), Leaf("b"), Node(Leaf("a"), Leaf("b"))]
+    script = ("import pickle, sys; from liering.words import Leaf, Node; "
+              "a, b, ab = pickle.loads(sys.stdin.buffer.read()); "
+              "print(hash('a'), hash(a) == hash(Leaf('a')), hash(b) == hash(Leaf('b')), "
+              "hash(ab) == hash(Node(Leaf('a'), Leaf('b'))), a == Leaf('a') and ab.left is not a)")
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    out = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(trees),
+                         capture_output=True, env=env, check=True)
+    child_hash_a, *checks = out.stdout.decode().split()
+    assert int(child_hash_a) != hash("a")  # the two processes really hash strings apart
+    assert checks == ["True"] * 4
+
+
+def _shapes(weight):
+    """Every bracket shape of the weight, as nested pairs of letters."""
+    if weight == 1:
+        return ["a", "b"]
+    return [(s, t) for i in range(1, weight) for s in _shapes(i) for t in _shapes(weight - i)]
+
+
+def _by_hand(shape):
+    return Leaf(shape) if isinstance(shape, str) else Node(_by_hand(shape[0]), _by_hand(shape[1]))
+
+
+def _by_replace(tree, leaf=Leaf("b"), node=Node(Leaf("b"), Leaf("b"))):
+    # Each part is a copy of an unrelated template with its fields replaced.
+    if isinstance(tree, Leaf):
+        return dataclasses.replace(leaf, letter=tree.letter)
+    return dataclasses.replace(node, left=_by_replace(tree.left), right=_by_replace(tree.right))
+
+
+def test_every_construction_path_gives_equal_trees_and_hashes_up_to_weight_5():
+    count = 0
+    for weight in range(1, 6):
+        for shape in _shapes(weight):
+            hand = _by_hand(shape)
+            (parsed, coeff), = parse_expr(bracket_string(hand)).terms.items()
+            assert coeff == 1
+            built = [hand, parsed, _by_replace(hand), pickle.loads(pickle.dumps(hand))]
+            for x in built:
+                assert x == hand and hash(x) == hash(hand), (shape, x)
+                assert {x: shape}[hand] == shape and {hand: shape}[x] == shape
+            count += 1
+    assert count == 2 + 4 + 16 + 80 + 448
 
 
 def test_tree_helpers():

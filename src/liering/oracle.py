@@ -17,7 +17,12 @@ and B and a final sum.
 A run keeps every d x d node value as row-packed integers, row i packed as
 sum_j x_ij 2^(S j).  By linearity row i of [X, Y] packs to sum_j (x_ij Y_j
 - y_ij X_j), 2d products, and a sum adds packed rows, so only the nodes a
-step reads, and the final one, are unpacked into entry rows.  A schedule
+step reads, and the final one, are unpacked into entry rows.  Both run in
+two straight-line functions compiled once per dimension d from a row
+template, as dataclasses builds its methods: ``step`` holds the 2d packed
+rows of X and Y in locals and computes each packed row of [X, Y] as one
+expression of 2d products, and ``unpack`` cuts each packed row into a tuple
+display of d slots.  Their source depends on the int d alone.  A schedule
 fixes S from bounds on the entries (the letters' largest, 2d |X| |Y| for
 [X, Y], sum |c| |X| for a sum), so every slot unpacks exactly.  Under a
 modulus, a step or sum that a step reads is reduced once its bound reaches the
@@ -35,9 +40,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
-from operator import add, mul
+from operator import add
 
 from .algebra import as_expr, basis_expansion
 from .kernels import IdentityCertificate
@@ -76,11 +81,14 @@ LOW, HIGH = -3, 3
 # The most work oracle_check takes on, counted as trials * (dim + 4)**3: a
 # commutator costs 2 dim**2 products of packed rows, and the + 4 covers the
 # sums and the walk over the program at small dim.  On i33's (3, 3)
-# certificate a step took 0.4-0.5 us at dim 2 to 0.15-0.17 us at dim 120
-# (CPython 3.11, shared 2-core VM), 1.5-5 s at the limit.  A heavier
-# certificate costs more: one trial on i2's of weight 256 took 3.2-5.1 s at
-# dim 100 and 33 s at dim 211 modulo 101, and exact, whose slots grow with
-# the weight, 5.2-6.7 s at dim 20.
+# certificate, with the generated step and unpack, a step took 0.22-0.34 us
+# at dim 2, 0.19-0.31 us at dim 4 and 0.10-0.14 us at dim 120 (0.27-0.50,
+# 0.24-0.43 and 0.10-0.13 us with a sum(map(mul)) per row; CPython 3.11,
+# shared 2-core VM), 1-3.4 s at the limit.  A heavier certificate costs
+# more, and there the big products dominate, so the generated code neither
+# gains nor loses: one trial on i2's of weight 256 took 2.5-2.9 s at dim 100
+# and 21 s at dim 211 modulo 101, and exact, whose slots grow with the
+# weight, 4.0-4.2 s at dim 20.
 # The default of 50 trials at dim 4 is 25600.
 MAX_WORK = 10**7
 
@@ -180,17 +188,58 @@ class _Program:
         shifts = range(0, width * dim, width)
         half = 1 << (width - 1)
         offset = sum(half << s for s in shifts)  # makes every slot nonnegative
-        return plan, self.out, shifts, half, (1 << width) - 1, offset, modulus
+        return plan, self.out, shifts, ((1 << width) - 1, half, offset), modulus
+
+
+def _sum(terms: list[str]) -> str:
+    """The source of the sum of ``terms``, nested as a balanced tree."""
+    # A flat chain of n terms nests n deep, and CPython 3.11 stops compiling
+    # one near n = 3000, the 2 dim terms of a step at dim 1500; this nests
+    # log2(n) deep.
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    return f"({_sum(terms[:half])} + {_sum(terms[half:])})"
+
+
+# One entry per dimension evaluated.  MAX_WORK admits dims 2 to 211 through
+# oracle_check, so the oracle stores at most 210; evaluate_expr and
+# evaluate_certificate add the dims of the matrices they are handed.  An
+# entry's source grows as its dim, the matrices that call for it as dim**2.
+@lru_cache(maxsize=None)
+def _kernels(dim: int):
+    """``step`` and ``unpack`` at ``dim``, compiled from one row template.
+
+    step(X, Y, Xp, Yp) packs [X, Y] from its entry rows X, Y and packed rows
+    Xp, Yp: row i is x_i0 Y_0 + ... - y_i0 X_0 - ... with the packed rows as
+    locals.  unpack(P, shifts, mask, half, offset) cuts packed rows into
+    tuples of entries.  The source depends on the int ``dim`` alone.
+    """
+    cols = range(dim)
+
+    def names(prefix: str) -> str:
+        return "".join(f"{prefix}{j}, " for j in cols)
+
+    source = f"""
+def step(X, Y, Xp, Yp):
+    {names("X")}= Xp
+    {names("Y")}= Yp
+    return [{_sum([f"x{j} * Y{j}" for j in cols])} - {_sum([f"y{j} * X{j}" for j in cols])}
+            for ({names("x")}), ({names("y")}) in zip(X, Y)]
+
+def unpack(P, shifts, mask, half, offset):
+    {names("s")}= shifts
+    return [({"".join(f"(v >> s{j} & mask) - half, " for j in cols)}) for u in P for v in (u + offset,)]
+"""
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["step"], namespace["unpack"]
 
 
 def _evaluate(schedule: tuple, leaves) -> Matrix:
     """The matrix of the program's ``out`` node, the letters taking the values ``leaves``."""
-    plan, out, shifts, half, mask, offset, modulus = schedule
-
-    def unpack(value: int) -> list[int]:
-        value += offset
-        return [(value >> s & mask) - half for s in shifts]
-
+    plan, out, shifts, cut, modulus = schedule
+    step, unpack = _kernels(len(shifts))
     rows = list(leaves)
     packed = [[sum(v << s for v, s in zip(row, shifts)) for row in m] for m in leaves]
     for left, right, unpacked, reduced in plan:
@@ -199,15 +248,15 @@ def _evaluate(schedule: tuple, leaves) -> Matrix:
             for m, c in zip(*right):
                 p = list(map(add, p, map(c.__mul__, packed[m])))
         else:
-            x, y, xp, yp = rows[left], rows[right], packed[left], packed[right]
-            p = [sum(map(mul, xi, yp)) - sum(map(mul, yi, xp)) for xi, yi in zip(x, y)]
-        r = [unpack(v) for v in p] if unpacked else None
+            p = step(rows[left], rows[right], packed[left], packed[right])
+        r = unpack(p, shifts, *cut) if unpacked else None
         if reduced:  # reduce, then repack at the same width
             r = [[v % modulus for v in row] for row in r]
             p = [sum(v << s for v, s in zip(row, shifts)) for row in r]
         rows.append(r)
         packed.append(p)
-    return tuple(tuple(v % modulus if modulus else v for v in unpack(p)) for p in packed[out])
+    value = unpack(packed[out], shifts, *cut)
+    return tuple(tuple(v % modulus for v in row) for row in value) if modulus else tuple(value)
 
 
 def _certificate_program(cert: IdentityCertificate) -> _Program:
@@ -287,6 +336,9 @@ def oracle_check(cert: IdentityCertificate, trials: int = 50, dim: int = 4,
     verdict only says no counterexample appeared among the trials.  More
     than MAX_WORK of trials * (dim + 4)**3 is refused before any trial.
     """
+    for name, value in (("trials", trials), ("dim", dim), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if dim < 2:

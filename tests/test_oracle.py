@@ -1,10 +1,12 @@
 """Matrix-evaluation oracle: sound rejection, evidence-only passes."""
 
+import ast
 import dataclasses
 import inspect
 import random
 import sys
 import time
+from operator import mul
 
 import pytest
 
@@ -178,7 +180,7 @@ def test_random_assignment_draws_what_randint_draws():
             assert (got.a_matrix, got.b_matrix, got.seed) == (tuple(a), tuple(b), seed), (dim, seed)
 
 
-def test_oracle_validation():
+def test_oracle_validation(monkeypatch):
     cert = i2_certificate(2)
     with pytest.raises(ValueError):
         oracle_check(cert, trials=0)
@@ -201,6 +203,16 @@ def test_oracle_validation():
         with pytest.raises(ValueError):
             evaluate_expr(left_normed("a", "b"), assign, modulus=modulus)
     assert not oracle_check(corrupted, trials=5, seed=1, modulus=2).passed
+    # A float dim used to fail inside the schedule, a float trials or seed
+    # with TypeError, and trials=True ran and was reported as True.
+    def no_work(*args):
+        raise AssertionError("a malformed call reached the certificate")
+
+    monkeypatch.setattr(oracle, "_certificate_program", no_work)
+    for name, value in (("dim", 4.0), ("trials", 2.0), ("seed", 1.5), ("trials", True),
+                        ("dim", True), ("seed", False), ("seed", None)):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+            oracle_check(corrupted, **{name: value})
 
 
 class TrialStarted(Exception):
@@ -281,10 +293,10 @@ MODULI = (None, 2, 3, 101, 2**61 - 1)
 
 
 def _assignments(rng, count):
-    """Seeded assignments at dims 2 to 7, every third one of entries near +-2^80."""
+    """Seeded assignments at dims 2 to 9, every third one of entries near +-2^80."""
     out = []
     for i in range(count):
-        dim = 2 + i % 6
+        dim = 2 + i % 8
         if i % 3:
             out.append(random_assignment(dim, rng.randrange(1 << 31)))
         else:
@@ -327,6 +339,37 @@ def test_evaluation_matches_the_reference():
     value = evaluate_expr(lyndon_bracket("aabababb"), big)
     assert value == reference_evaluate_expr(lyndon_bracket("aabababb"), big)
     assert max(abs(v) for row in value for v in row).bit_length() > 600
+
+
+def test_a_step_compiles_and_matches_the_row_products_at_dim_2500():
+    # A flat chain of 2 dim terms nested too deep to compile at dim 2000 on
+    # CPython 3.11; the compiler's limit differs between versions, so the
+    # nesting of the sum is checked as well.
+    rng = random.Random(2500)
+    dim = 2500
+    depth, stack = 0, [(ast.parse(oracle._sum([f"x{j} * Y{j}" for j in range(2 * dim)])), 0)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        stack += ((child, d + 1) for child in ast.iter_child_nodes(node))
+    assert depth <= 20  # 13 levels of + for 5000 terms, then the product and its operands
+    step, unpack = oracle._kernels.__wrapped__(dim)
+    x, y = ([tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(2)] for _ in range(2))
+    xp, yp = ([rng.randint(-2**90, 2**90) for _ in range(dim)] for _ in range(2))
+    assert step(x, y, xp, yp) == [sum(map(mul, xi, yp)) - sum(map(mul, yi, xp))
+                                  for xi, yi in zip(x, y)]
+    shifts = range(0, 8 * dim, 8)  # 8-bit slots hold -128 to 127
+    packed = [sum(v << s for v, s in zip(row, shifts)) for row in x]
+    assert unpack(packed, shifts, 255, 128, sum(128 << s for s in shifts)) == x
+
+
+def test_the_kernel_memo_holds_one_entry_per_dimension_evaluated():
+    oracle._kernels.cache_clear()
+    for dim in (2, 5, 3, 5, 2):
+        evaluate_expr(left_normed("a", "b", "a"), random_assignment(dim, dim))
+    oracle_check(i2_certificate(2), trials=3, dim=4)
+    oracle_check(i2_certificate(4), trials=3, dim=3, modulus=7)
+    assert oracle._kernels.cache_info().currsize == 4
 
 
 def _corrupted():

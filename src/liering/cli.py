@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode
 
 from . import dims, kernels
@@ -55,6 +56,19 @@ def check_pair_entries(k: int, l: int) -> None:
                          f"more than the limit of {MAX_PAIR_ENTRIES}")
 
 
+def _plain_strings(lists) -> bool:
+    """Whether every item of ``lists``' lists is a string that JSON writes as it is, in quotes.
+
+    ``join`` refuses an item that is not a string; the rest must be
+    printable ASCII with no quote or backslash, which ``_encode`` leaves alone.
+    """
+    try:
+        text = "".join(chain.from_iterable(lists))
+    except TypeError:
+        return False
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
 def _json_text(data, indent: str = "\n") -> str:
     """``json.dumps(data, indent=2)``, byte for byte, for JSON values with string keys."""
     if not isinstance(data, (dict, list, tuple)):
@@ -65,14 +79,14 @@ def _json_text(data, indent: str = "\n") -> str:
     inner = indent + "  "
     if isinstance(data, dict):
         items = (f"{_encode(key)}: {_json_text(value, inner)}" for key, value in data.items())
-    elif all(isinstance(item, str) for item in data):
+    elif all(map(isinstance, data, repeat(str))):
         items = map(_encode, data)
-    elif (all(isinstance(item, (list, tuple)) and item for item in data)
-          and all(isinstance(x, str) for item in data for x in item)):
-        # Certificate pairs and basis vectors: one join per inner list of strings.
+    elif all(map(isinstance, data, repeat((list, tuple)))) and all(data) and _plain_strings(data):
+        # Certificate pairs and basis vectors: one join of the raw strings of
+        # each inner list, one join of those, the quotes in the separators.
         deeper = inner + "  "
-        sep = "," + deeper
-        items = (f"[{deeper}{sep.join(map(_encode, item))}{inner}]" for item in data)
+        rows = f'"{inner}],{inner}[{deeper}"'.join(map(f'",{deeper}"'.join, data))
+        return f'[{inner}[{deeper}"{rows}"{inner}]{indent}]'
     else:
         items = (_json_text(item, inner) for item in data)
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
@@ -83,8 +97,9 @@ def _emit_json(data, out=None) -> None:
 
     With ``indent``, ``json.dumps`` runs the pure-Python encoder, so
     ``_json_text`` writes the same bytes: one ``join`` per container, the C
-    ``encode_basestring_ascii`` for lists of strings, one ``join`` per inner
-    list for lists of non-empty string lists, ``json.dumps`` for scalars.
+    ``encode_basestring_ascii`` for lists of strings, ``json.dumps`` for
+    scalars, and for a list of non-empty lists of strings that need no
+    escape, the strings themselves, joined with no Python frame per string.
     """
     text = _json_text(data)
     if out is None:

@@ -111,8 +111,12 @@ def random_assignment(dim: int, seed: int) -> MatrixAssignment:
 
 
 def _check_modulus(modulus: int | None) -> None:
+    if modulus is None:
+        return
+    if isinstance(modulus, bool) or not isinstance(modulus, int):
+        raise ValueError(f"modulus must be an int, got {modulus!r}")
     # Modulo 1 every matrix is zero, so a wrong certificate would pass.
-    if modulus is not None and modulus < 2:
+    if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
 
 

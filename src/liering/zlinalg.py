@@ -6,33 +6,38 @@ floating point anywhere.  ``IntMatrix`` keeps the nonzero entries of each
 row and builds its dense rows only when they are read.  There are two
 elimination loops, one dense and one sparse.
 
-``_row_echelon`` is a dense row Hermite normal form: positive pivots,
-entries above each pivot reduced into [0, pivot), nonzero rows first.  Its
-one row operation, ``_reduce``, subtracts a floor multiple of the pivot
-row.  Pivots of minimal absolute value keep intermediate entries small in
-practice (with exact arithmetic this is a performance choice only).  HNF
-is unique per row lattice, so ``canonical_lattice``, the HNF of spanning
-vectors, decides everything else about lattices: two lattices are equal
-when their canonical bases compare equal (``lattice_equal``), and a vector
-lies in a canonical lattice exactly when appending it to the basis leaves
-the canonical form as it is (``kernels.lattice_membership``).
+The dense elimination is ``_knock_down``, a row echelon form with
+positive pivots, nonzero rows first.  Its one row operation, ``_reduce``,
+subtracts a floor multiple of the pivot row.  Pivots of minimal absolute
+value keep intermediate entries small in practice (with exact arithmetic
+this is a performance choice only).  ``canonical_lattice`` follows it with
+``_back_reduce``, which reduces the entries above each pivot into
+[0, pivot) on packed rows, giving the row Hermite normal form.  HNF is
+unique per row lattice, so the HNF of spanning vectors decides everything
+else about lattices: two lattices are equal when their canonical bases
+compare equal (``lattice_equal``), and a vector lies in a canonical lattice
+exactly when appending it to the basis leaves the canonical form as it is
+(``kernels.lattice_membership``).
 
 ``_unit_pivot_pass`` is a sparse elimination that takes only pivots of +1
 or -1, so it never divides; the rows it cannot pivot that way are left, on
 the columns that took no pivot, as a small core that ``_hnf_pass`` reduces
-with ``_row_echelon``.
+with ``_knock_down``.
 
 ``echelon`` is the one pass per matrix the rest of the package needs: the
 rank of M, the pivots that decide whether M maps onto Z^rows, and the
 kernel of M, all from ``_unit_pivot_pass``.  The kernel is canonicalized
-with ``_row_echelon`` and re-checked against the sparse rows of M; only
+by ``canonical_lattice`` and re-checked against the sparse rows of M; only
 the core is ever dense.
 """
 
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 from typing import Iterable, Sequence
 
 from .words import InconsistencyError
@@ -116,40 +121,128 @@ def _reduce(row_i: list[int], row_p: list[int], col: int) -> None:
             row_i[j] -= q * row_p[j]
 
 
-def _row_echelon(mat: list[list[int]], cols: int) -> int:
-    """Bring ``mat`` to row Hermite normal form in place and return its rank.
+def _knock_down(mat: list[list[int]], cols: int) -> list[int]:
+    """Bring ``mat`` to row echelon form in place and return its pivot columns.
 
     Pivots are taken in the first ``cols`` columns only, but every row
-    operation spans the whole row.  So an identity block appended past
-    ``cols`` ends up holding the unimodular U with U*M = H.
+    operation spans the whole row, so an identity block appended past
+    ``cols`` records the unimodular U with U*M = the result.  Each pivot is
+    made positive; nothing above a pivot is reduced.  The nonzero rows come
+    first, one per pivot column.
     """
     rows = len(mat)
-    rank = 0
+    pivot_cols: list[int] = []
     for col in range(cols):
+        rank = len(pivot_cols)
         if rank == rows:
             break
         # Knock the column at/below `rank` down to a single nonzero entry.
         while True:
             nonzero = [i for i in range(rank, rows) if mat[i][col]]
-            if not nonzero:
-                pivot = None
+            if len(nonzero) < 2:
                 break
             pivot = min(nonzero, key=lambda i: abs(mat[i][col]))
-            if len(nonzero) == 1:
-                break
             for i in nonzero:
                 if i != pivot:
                     _reduce(mat[i], mat[pivot], col)
-        if pivot is None:
+        if not nonzero:
             continue
+        (pivot,) = nonzero
         if pivot != rank:
             mat[pivot], mat[rank] = mat[rank], mat[pivot]
         if mat[rank][col] < 0:
             mat[rank] = [-v for v in mat[rank]]
-        for row_i in mat[:rank]:
-            _reduce(row_i, mat[rank], col)
-        rank += 1
-    return rank
+        pivot_cols.append(col)
+    return pivot_cols
+
+
+def _slots(width: int, n: int):
+    """(pack, unpack) between rows of n ints and balanced slots of ``width`` bytes.
+
+    pack(v) = sum of v[t] * 2^(W t), W = 8 * width.  It is Z-linear, and
+    adding the offset O = sum of 2^(W-1) * 2^(W t) turns each slot into the
+    digit v[t] + 2^(W-1), so a row with every |v[t]| < 2^(W-1) is read back
+    from the base-2^W digits of pack(v) + O.  XOR with O flips each slot's top
+    bit, which maps that digit to v[t]'s W-bit two's complement and back, so
+    8-byte slots go through one ``struct`` call each way; wider slots, for
+    entries past 2^63, take one ``to_bytes``/``from_bytes`` per entry.
+    """
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    if width == 8:
+        words = struct.Struct(f"<{n}q")
+
+        def pack(row):
+            return (int.from_bytes(words.pack(*row), "little") ^ offset) - offset
+
+        def unpack(p):
+            return words.unpack(((p + offset) ^ offset).to_bytes(8 * n, "little"))
+    else:
+        def pack(row):
+            digits = map(int.to_bytes, map(half.__add__, row), repeat(width), repeat("little"))
+            return int.from_bytes(b"".join(digits), "little") - offset
+
+        def unpack(p):
+            data = iter((p + offset).to_bytes(width * n, "little"))
+            return tuple(map(half.__rsub__, map(int.from_bytes, zip(*[data] * width), repeat("little"))))
+    return pack, unpack
+
+
+def _back_reduce(rows: list[list[int]], pivot_cols: Sequence[int]) -> None:
+    """Reduce the echelon ``rows`` of ``_knock_down`` to Hermite normal form in place.
+
+    Row i becomes H_i = K_i - sum of q_ij * H_j over j > i, bottom up, with
+    the q_ij that bring its entry at each later pivot column into
+    [0, pivot).  HNF is unique per row lattice, so this is the form that
+    reducing above each pivot as it is found gives.  The quotients are
+    taken from the r x r block of pivot columns alone: H_i there is K_i
+    there less the q_ij multiples of H_j there.  Then each row that takes a
+    quotient is formed once, as K_i less the sum of its q_ij * H_j, a sum
+    taken on packed integers (``_slots``) and read back once; each H_j is
+    packed once for all the rows that use it.  A row that takes no
+    quotient stays as it is.
+    """
+    # Row i is K_i - D_i, D_i = sum of q_ij * H_j, and D_i is formed on
+    # packed rows.  Its entries are at most d_i = sum of |q_ij| * max|H_j| in
+    # absolute value, and so are those of each partial sum of its terms and
+    # of each H_j it packs, with max|H_j| read off the finished row j; a bound
+    # so found does not compound.  Slots of W bits with d_i < 2^(W-1)
+    # therefore read D_i back exactly, and pack's linearity makes the packed
+    # sum pack(D_i) whatever carries pass between slots.  The slots are
+    # widened only when some d_i needs it, and the rows packed so far are
+    # then dropped, to be packed again as they are used.
+    r = len(pivot_cols)
+    block = [[row[c] for c in pivot_cols] for row in rows]
+    top: dict[int, int] = {}
+    packed: dict[int, int] = {}
+    width = 0
+    for i in range(r - 2, -1, -1):
+        x = block[i]
+        taken = []
+        for j in range(i + 1, r):
+            h = block[j]
+            q = x[j] // h[j]
+            if q:
+                for t in range(j, r):
+                    x[t] -= q * h[t]
+                taken.append((j, q))
+        if not taken:
+            continue
+        bound = 0
+        for j, q in taken:
+            if j not in top:
+                top[j] = max(max(rows[j]), -min(rows[j]))
+            bound += abs(q) * top[j]
+        if bound.bit_length() >= 8 * width:
+            width = max(8, (bound.bit_length() + 8) // 8)
+            pack, unpack = _slots(width, len(rows[i]))
+            packed = {}
+        acc = 0
+        for j, q in taken:
+            if j not in packed:
+                packed[j] = pack(rows[j])
+            acc += q * packed[j]
+        rows[i] = list(map(sub, rows[i], unpack(acc)))
 
 
 @dataclass(frozen=True)
@@ -175,8 +268,10 @@ def canonical_lattice(ambient: int, vectors: Iterable[Sequence[int]]) -> KernelL
     for v in work:
         if len(v) != ambient:
             raise ValueError(f"vector length {len(v)} != ambient {ambient}")
-    r = _row_echelon(work, ambient)
-    return KernelLattice(ambient, tuple(tuple(row) for row in work[:r]))
+    pivot_cols = _knock_down(work, ambient)
+    del work[len(pivot_cols):]
+    _back_reduce(work, pivot_cols)
+    return KernelLattice(ambient, tuple(map(tuple, work)))
 
 
 @dataclass(frozen=True)
@@ -198,20 +293,23 @@ class Echelon:
 
 
 def _hnf_pass(rows: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Image pivots and kernel generators of M from one HNF of [M^T | I].
+    """Image pivots and kernel generators of M from one echelon form of [M^T | I].
 
     M is given as its dense ``rows``, each ``cols`` entries long.  The rows
-    of [M^T | I] are reduced on their first len(rows) columns into
-    [H | U] with U*M^T = H.  The first ``rank`` rows carry the pivots; the
-    U parts of the rows after them, where H is zero, lie in the kernel of
-    M, and since U is unimodular they span the full integer kernel, a pure
-    sublattice (a direct summand), not just a finite-index one.
+    of [M^T | I] are knocked down on their first len(rows) columns into
+    [E | U] with U*M^T = E.  The first ``rank`` rows carry the pivots,
+    which are those of the HNF of M^T, since the pivots of a row echelon
+    basis with positive pivots are fixed by its lattice; the U parts of the
+    rows after them, where E is zero, lie in the kernel of M, and since U is
+    unimodular they span the full integer kernel, a pure sublattice (a
+    direct summand), not just a finite-index one.  Reducing above the
+    pivots would change neither, so it is not done.
     """
     height = len(rows)
     work = [[row[j] for row in rows] + [int(i == j) for i in range(cols)] for j in range(cols)]
-    r = _row_echelon(work, height)
-    pivots = tuple(next(v for v in row if v) for row in work[:r])
-    return pivots, [row[height:] for row in work[r:]]
+    pivot_cols = _knock_down(work, height)
+    pivots = tuple(work[i][c] for i, c in enumerate(pivot_cols))
+    return pivots, [row[height:] for row in work[len(pivots):]]
 
 
 def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:

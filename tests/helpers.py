@@ -14,9 +14,13 @@ surjectivity off its echelon pivots, and ``reference_parse_expr`` a
 character-walking parser of the grammar ``algebra.parse_expr`` reads from one
 token list, building every expression through ``left_normed`` and naming
 every error where README says: at the start of the offending token.
-``reference_echelon`` is ``zlinalg.echelon`` by the dense HNF of the whole
-[M^T | I], where the package reduces only the core its unit-pivot pass
-leaves, and ``reference_verify_certificate`` the check of a
+``reference_row_echelon`` is the package's former dense row Hermite normal
+form, which reduced above each pivot as it was found, one Python loop per
+row operation, where ``zlinalg`` knocks the columns down first and then
+reduces on packed rows; ``reference_canonical_basis`` is the HNF basis it
+gives.  ``reference_echelon`` is ``zlinalg.echelon`` by that dense HNF of
+the whole [M^T | I], where the package reduces only the core its
+unit-pivot pass leaves, and ``reference_verify_certificate`` the check of a
 certificate on the full associative expansion of [A,a] + [B,b], which the
 package replaced by a check on the Lyndon coefficients.
 ``element_fold_normalize`` is the package's former ``normalize``, a fold
@@ -68,7 +72,7 @@ from liering.words import (
     standard_factorization,
 )
 from liering.words import bidegree as word_bidegree
-from liering.zlinalg import Echelon, IntMatrix, _hnf_pass, canonical_lattice
+from liering.zlinalg import Echelon, IntMatrix, KernelLattice
 
 
 def rotations(word: str) -> list[str]:
@@ -421,6 +425,66 @@ def reference_smith_invariants(m: IntMatrix) -> tuple[int, ...]:
     return tuple(invariants)
 
 
+def _reduce(row_i: list[int], row_p: list[int], col: int) -> None:
+    """Subtract q * row_p from row_i in place, q = row_i[col] // row_p[col]."""
+    q = row_i[col] // row_p[col]
+    if q:
+        for j in range(col, len(row_i)):
+            row_i[j] -= q * row_p[j]
+
+
+def reference_row_echelon(mat: list[list[int]], cols: int) -> int:
+    """Bring ``mat`` to row Hermite normal form in place and return its rank.
+
+    Pivots are taken in the first ``cols`` columns only, but every row
+    operation spans the whole row.  So an identity block appended past
+    ``cols`` ends up holding the unimodular U with U*M = H.
+    """
+    rows = len(mat)
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        # Knock the column at/below `rank` down to a single nonzero entry.
+        while True:
+            nonzero = [i for i in range(rank, rows) if mat[i][col]]
+            if not nonzero:
+                pivot = None
+                break
+            pivot = min(nonzero, key=lambda i: abs(mat[i][col]))
+            if len(nonzero) == 1:
+                break
+            for i in nonzero:
+                if i != pivot:
+                    _reduce(mat[i], mat[pivot], col)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            mat[pivot], mat[rank] = mat[rank], mat[pivot]
+        if mat[rank][col] < 0:
+            mat[rank] = [-v for v in mat[rank]]
+        for row_i in mat[:rank]:
+            _reduce(row_i, mat[rank], col)
+        rank += 1
+    return rank
+
+
+def reference_canonical_basis(ambient: int, vectors) -> tuple[tuple[int, ...], ...]:
+    """The nonzero rows of the dense HNF of ``vectors``: ``canonical_lattice``'s basis."""
+    work = [list(v) for v in vectors]
+    r = reference_row_echelon(work, ambient)
+    return tuple(tuple(row) for row in work[:r])
+
+
+def reference_hnf_pass(rows, cols: int) -> tuple[tuple[int, ...], list[list[int]]]:
+    """``zlinalg._hnf_pass`` by the dense HNF of [M^T | I]: (pivots, kernel generators)."""
+    height = len(rows)
+    work = [[row[j] for row in rows] + [int(i == j) for i in range(cols)] for j in range(cols)]
+    r = reference_row_echelon(work, height)
+    pivots = tuple(next(v for v in row if v) for row in work[:r])
+    return pivots, [row[height:] for row in work[r:]]
+
+
 def reference_echelon(m: IntMatrix) -> Echelon:
     """Rank, pivots and canonical kernel from the HNF of the whole [M^T | I].
 
@@ -429,8 +493,8 @@ def reference_echelon(m: IntMatrix) -> Echelon:
     core's.  Both count the rank, both are all 1 exactly when M is onto
     Z^rows, and at full rank both multiply to the index of the image.
     """
-    pivots, generators = _hnf_pass(m.entries, m.cols)
-    return Echelon(pivots, canonical_lattice(m.cols, generators))
+    pivots, generators = reference_hnf_pass(m.entries, m.cols)
+    return Echelon(pivots, KernelLattice(m.cols, reference_canonical_basis(m.cols, generators)))
 
 
 def core_shapes(monkeypatch) -> list[tuple[int, int]]:

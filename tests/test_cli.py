@@ -646,6 +646,11 @@ def test_report_writer_matches_json_dumps_on_random_values(capsys, tmp_path):
                [["a"], "b"], [("x", "é"), ["\n"]],
                {"A": [["-3", "aab"], ["2", "abb"]], "basis": [["0", "1"], ["1", "0"]]},
                [[["1", "a"]], [["\"", "\\"], ["b"]], {"B": [["4", "b"]]}]]
+    # Strings at the edges of what JSON writes unescaped: space, tilde and the
+    # empty string are written as they are; DEL, a control character and
+    # non-ASCII are escaped; an inner list holding a list or a number.
+    values += [[["~", " ", ""], ["!"]], [["a"], ["\x7f"]], [["\x1f", "b"]], [["é"], ["a"]],
+               [["a"], [["b"]]], [["a"], ["b", 3]], [("a", "b"), ("c",)]]
     values += [_random_json(rng) for _ in range(3000)]
     for value in values:
         assert cli._json_text(value) == json.dumps(value, indent=2), value

@@ -460,7 +460,7 @@ def test_check_surjective_reuses_the_kernel_pass(monkeypatch):
     def no_reduction(*args, **kwargs):
         raise AssertionError("check_surjective reduced a matrix again")
 
-    monkeypatch.setattr(zlinalg, "_row_echelon", no_reduction)
+    monkeypatch.setattr(zlinalg, "_knock_down", no_reduction)
     for k, l in slices:
         assert check_surjective(k, l).surjective, (k, l)
 

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import random
+import re
 import sys
 import time
 from operator import mul
@@ -213,6 +214,17 @@ def test_oracle_validation(monkeypatch):
                         ("dim", True), ("seed", False), ("seed", None)):
         with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
             oracle_check(corrupted, **{name: value})
+    # A float modulus used to fail inside the schedule (AttributeError, or
+    # TypeError for 2.5), and True would have been taken as 1.
+    monkeypatch.setattr(oracle, "_run", no_work)
+    for value in (101.0, 2.5, True, False, "101"):
+        message = f"^modulus must be an int, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            oracle_check(corrupted, trials=2, modulus=value)
+        with pytest.raises(ValueError, match=message):
+            evaluate_certificate(corrupted, assign, modulus=value)
+        with pytest.raises(ValueError, match=message):
+            evaluate_expr(left_normed("a", "b"), assign, modulus=value)
 
 
 class TrialStarted(Exception):

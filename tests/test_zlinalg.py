@@ -9,12 +9,19 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import core_shapes, reference_echelon, reference_smith_invariants
+from helpers import (
+    core_shapes,
+    reference_canonical_basis,
+    reference_echelon,
+    reference_hnf_pass,
+    reference_row_echelon,
+    reference_smith_invariants,
+)
 from liering import InconsistencyError, zlinalg
 from liering.zlinalg import (
     IntMatrix,
     KernelLattice,
-    _row_echelon,
+    _hnf_pass,
     canonical_lattice,
     echelon,
     lattice_equal,
@@ -27,9 +34,9 @@ def apply(m: IntMatrix, vector) -> tuple[int, ...]:
 
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """(H, U) from ``_row_echelon`` on [M | I], the reduction ``_hnf_pass`` runs on M^T."""
+    """(H, U) from the dense reference HNF of [M | I], the reduction ``_hnf_pass`` runs on M^T."""
     work = [row + [int(i == j) for j in range(m.rows)] for i, row in enumerate(m.entries)]
-    _row_echelon(work, m.cols)
+    reference_row_echelon(work, m.cols)
     return (IntMatrix([row[: m.cols] for row in work], cols=m.cols),
             IntMatrix([row[m.cols :] for row in work], cols=m.rows))
 
@@ -215,6 +222,61 @@ def test_echelon_matches_the_hnf_reference_on_sparse_matrices(m):
     assert onto == (reference_smith_invariants(m) == (1,) * m.rows)
     if ech.rank == m.rows:
         assert math.prod(ech.pivots) == math.prod(ref.pivots)
+
+
+WIDE_ENTRIES = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.sampled_from([2**63 - 1, 2**63, -2**63, 2**64 + 1]),
+)
+
+
+@st.composite
+def spanning_sets(draw):
+    """(cols, rows): random rows with some repeated, and some zero rows, in random order."""
+    cols = draw(st.integers(min_value=1, max_value=9))
+    rows = draw(st.lists(st.lists(WIDE_ENTRIES, min_size=cols, max_size=cols), max_size=7))
+    if rows:
+        rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    rows += [[0] * cols for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+    return cols, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spanning_sets())
+def test_canonical_lattice_and_hnf_pass_match_the_dense_reference(case):
+    cols, rows = case
+    assert canonical_lattice(cols, rows).basis == reference_canonical_basis(cols, rows)
+    assert _hnf_pass(rows, cols) == reference_hnf_pass(rows, cols)
+
+
+def test_back_reduction_widens_its_slots_when_a_row_needs_it(monkeypatch):
+    widths = []
+    real = zlinalg._slots
+
+    def recorded(width, n):
+        widths.append(width)
+        return real(width, n)
+
+    monkeypatch.setattr(zlinalg, "_slots", recorded)
+    # Row 1 takes q = 2 of row 2, a sum that fits 8-byte slots.  Row 0 takes
+    # q = 2 of row 1, whose last entry is 2^80 - 2, and q = -1 of row 2: that
+    # sum needs 11-byte slots.
+    rows = [[1, 5, 0, 0], [0, 2, 7, 2**80], [0, 0, 3, 1]]
+    assert canonical_lattice(4, rows).basis == reference_canonical_basis(4, rows)
+    assert canonical_lattice(4, rows).basis == (
+        (1, 1, 1, 5 - 2**81), (0, 2, 1, 2**80 - 2), (0, 0, 3, 1))
+    assert widths == [8, 11] * 2
+
+
+@pytest.mark.parametrize("width", [8, 9, 16])
+def test_slots_read_back_rows_below_half_a_slot(width):
+    top = (1 << (8 * width - 1)) - 1
+    row = [top, -top, 0, 1, -1, top - 1, 1 - top]
+    pack, unpack = zlinalg._slots(width, len(row))
+    assert list(unpack(pack(row))) == row
+    ones = [1, -1, 0, 0, 1, 1, -1]
+    assert list(unpack(pack(row) - 2 * pack(ones))) == [v - 2 * e for v, e in zip(row, ones)]
 
 
 def test_kernel_is_pure():

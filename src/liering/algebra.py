@@ -170,7 +170,11 @@ ExprLike = Union["BracketExpr", BracketTree, str]
 
 
 class BracketExpr:
-    """A formal integer combination of bracket trees over the letters a, b."""
+    """A formal integer combination of bracket trees over the letters a, b.
+
+    The constructor refuses a coefficient that is not an int itself, a
+    float or a bool say, with TypeError.
+    """
 
     __slots__ = ("terms",)
 
@@ -180,6 +184,8 @@ class BracketExpr:
             for tree, c in terms.items():
                 if not isinstance(tree, (Leaf, Node)):
                     raise TypeError(f"expected a bracket tree, got {tree!r}")
+                if type(c) is not int:
+                    raise TypeError(f"coefficients must be int, got {c!r}")
                 if c:
                     data[tree] = c
         self.terms = data
@@ -292,8 +298,9 @@ class LieElement:
 
     ``bidegree`` is None only for the distinguished untyped zero, which
     combines with elements of any bidegree.  Typed elements (including
-    typed zeros) refuse to mix across bidegrees.  Instances are treated as
-    immutable everywhere in the package.
+    typed zeros) refuse to mix across bidegrees.  The constructor refuses
+    a coefficient that is not an int itself, a float or a bool say, with
+    TypeError.  Instances are treated as immutable everywhere in the package.
     """
 
     __slots__ = ("bidegree", "coeffs")
@@ -308,6 +315,8 @@ class LieElement:
                     raise BidegreeError(f"word {word!r} is not of bidegree {bidegree}")
                 if not is_lyndon(word):
                     raise ValueError(f"{word!r} is not a Lyndon word")
+                if type(c) is not int:
+                    raise TypeError(f"coefficients must be int, got {c!r}")
                 if c:
                     data[word] = c
         if bidegree is not None:

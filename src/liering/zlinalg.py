@@ -7,8 +7,8 @@ row and builds its dense rows only when they are read.  There are two
 elimination loops, one dense and one sparse.
 
 The dense elimination is ``_knock_down``, a row echelon form with
-positive pivots, nonzero rows first.  Its one row operation, ``_reduce``,
-subtracts a floor multiple of the pivot row.  Pivots of minimal absolute
+positive pivots, nonzero rows first.  Its one row operation subtracts a
+floor multiple of the pivot row.  Pivots of minimal absolute
 value keep intermediate entries small in practice (with exact arithmetic
 this is a performance choice only).  ``canonical_lattice`` follows it with
 ``_back_reduce``, which reduces the entries above each pivot into
@@ -29,6 +29,12 @@ rank of M, the pivots that decide whether M maps onto Z^rows, and the
 kernel of M, all from ``_unit_pivot_pass``.  The kernel is canonicalized
 by ``canonical_lattice`` and re-checked against the sparse rows of M; only
 the core is ever dense.
+
+Batches of vectors are packed into single integers in one format,
+``_slots``: balanced slots of whole bytes, as many as ``_width`` gives for
+a bound on the entries.  The back-reduction packs rows; the unit pass's
+back-substitution and ``echelon``'s re-check pack columns, one slot per
+vector.  Each argues its bound where it packs.
 """
 
 from __future__ import annotations
@@ -36,19 +42,22 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass
-from itertools import repeat
-from operator import sub
+from itertools import chain, repeat
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .words import InconsistencyError
 
 
 def _check_entries(pairs: Iterable[tuple[int, int]], cols: int) -> None:
-    """Refuse a column outside [0, cols) (ValueError) or an entry that is not an int (TypeError)."""
+    """Refuse a column outside [0, cols) (ValueError) or an entry that is not an int (TypeError).
+
+    An entry must be an int itself: a bool, a float or any other type is refused.
+    """
     for j, v in pairs:
         if not (isinstance(j, int) and 0 <= j < cols):
             raise ValueError(f"column {j!r} is outside [0, {cols})")
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise TypeError(f"matrix entries must be int, got {v!r}")
 
 
@@ -110,17 +119,6 @@ class IntMatrix:
                 "entries": [str(v) for row in self.entries for v in row]}
 
 
-def _reduce(row_i: list[int], row_p: list[int], col: int) -> None:
-    """Subtract q * row_p from row_i in place, q = row_i[col] // row_p[col].
-
-    row_p is zero before ``col``, so only the entries from ``col`` on change.
-    """
-    q = row_i[col] // row_p[col]
-    if q:
-        for j in range(col, len(row_i)):
-            row_i[j] -= q * row_p[j]
-
-
 def _knock_down(mat: list[list[int]], cols: int) -> list[int]:
     """Bring ``mat`` to row echelon form in place and return its pivot columns.
 
@@ -142,18 +140,29 @@ def _knock_down(mat: list[list[int]], cols: int) -> list[int]:
             if len(nonzero) < 2:
                 break
             pivot = min(nonzero, key=lambda i: abs(mat[i][col]))
-            for i in nonzero:
-                if i != pivot:
-                    _reduce(mat[i], mat[pivot], col)
+            row_p = mat[pivot]
+            for row_i in map(mat.__getitem__, nonzero):
+                if row_i is not row_p:  # row_p is zero before col: start there
+                    q = row_i[col] // row_p[col]
+                    for j in range(col, len(row_i)):
+                        row_i[j] -= q * row_p[j]
         if not nonzero:
             continue
         (pivot,) = nonzero
-        if pivot != rank:
-            mat[pivot], mat[rank] = mat[rank], mat[pivot]
+        mat[pivot], mat[rank] = mat[rank], mat[pivot]
         if mat[rank][col] < 0:
             mat[rank] = [-v for v in mat[rank]]
         pivot_cols.append(col)
     return pivot_cols
+
+
+def _width(bound: int) -> int:
+    """Bytes per slot for entries of absolute value at most ``bound``.
+
+    The slots are W = 8 * width bits wide with bound < 2^(W-1), so such
+    entries fit ``_slots``; never under 8 bytes, the ``struct`` path.
+    """
+    return max(8, (bound.bit_length() + 8) // 8)
 
 
 def _slots(width: int, n: int):
@@ -233,8 +242,8 @@ def _back_reduce(rows: list[list[int]], pivot_cols: Sequence[int]) -> None:
             if j not in top:
                 top[j] = max(max(rows[j]), -min(rows[j]))
             bound += abs(q) * top[j]
-        if bound.bit_length() >= 8 * width:
-            width = max(8, (bound.bit_length() + 8) // 8)
+        if _width(bound) > width:
+            width = _width(bound)
             pack, unpack = _slots(width, len(rows[i]))
             packed = {}
         acc = 0
@@ -263,11 +272,18 @@ class KernelLattice:
 
 
 def canonical_lattice(ambient: int, vectors: Iterable[Sequence[int]]) -> KernelLattice:
-    """Canonicalize spanning vectors into an HNF-basis lattice."""
+    """Canonicalize spanning vectors into an HNF-basis lattice.
+
+    Each vector must have ``ambient`` entries (ValueError), each an int
+    itself, as in ``IntMatrix`` (TypeError); the entries' types are read
+    in one C-level pass, with no Python loop over the entries.
+    """
     work = [list(v) for v in vectors]
     for v in work:
         if len(v) != ambient:
             raise ValueError(f"vector length {len(v)} != ambient {ambient}")
+    if not {int}.issuperset(map(type, chain.from_iterable(work))):
+        raise TypeError("lattice vector entries must be int")
     pivot_cols = _knock_down(work, ambient)
     del work[len(pivot_cols):]
     _back_reduce(work, pivot_cols)
@@ -312,7 +328,7 @@ def _hnf_pass(rows: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ...]
     return pivots, [row[height:] for row in work[len(pivots):]]
 
 
-def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
+def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """Image pivots and kernel generators of M: unit pivots, then an HNF core.
 
     It works on dicts copied from M's sparse rows, which stay as they are.
@@ -355,12 +371,11 @@ def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
         live[i] = False
         for j in row:
             holders[j].discard(i)
+        unit = row.pop(p)
         for t in holders.pop(p):
             target = rows[t]
-            q = target.pop(p) * row[p]  # row[p] is its own inverse
+            q = target.pop(p) * unit  # the unit is its own inverse
             for j, c in row.items():
-                if j == p:
-                    continue
                 v = target.get(j, 0) - q * c
                 if v:
                     if j not in target:
@@ -370,27 +385,30 @@ def _unit_pivot_pass(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
                     del target[j]
                     holders[j].discard(t)
             heapq.heappush(heap, (len(target), t))
-        order.append((p, row))
-    pivot_cols = {p for p, _ in order}
+        order.append((p, unit, row))
+    pivot_cols = {p for p, _, _ in order}
     free = [j for j in range(m.cols) if j not in pivot_cols]
     core = [[row.get(j, 0) for j in free] for row, alive in zip(rows, live) if alive]
     core_pivots, core_kernel = _hnf_pass(core, len(free))
-    # x[j] holds coordinate j of every generator at once, keyed by generator.
-    x: dict[int, dict[int, int]] = {
-        f: {g: v[t] for g, v in enumerate(core_kernel) if v[t]} for t, f in enumerate(free)
-    }
-    for p, row in reversed(order):
-        value: dict[int, int] = {}
-        for j, c in row.items():
-            if j != p:
-                for f, e in x[j].items():
-                    value[f] = value.get(f, 0) - row[p] * c * e
-        x[p] = {f: e for f, e in value.items() if e}
-    generators = [[0] * m.cols for _ in core_kernel]
-    for j, coeffs in x.items():
-        for g, e in coeffs.items():
-            generators[g][j] = e
-    return (1,) * len(order) + core_pivots, generators
+    pivots = (1,) * len(order) + core_pivots
+    if not core_kernel:
+        return pivots, []
+    # x[j] packs coordinate j of every generator (``_slots``, one slot per
+    # generator).  Pivot p's row, less its unit entry, is {j: c}, so
+    # coordinate p is -unit * sum of c * (coordinate j), and pack is
+    # Z-linear, so x[p] = -unit * sum of c * x[j] packs it, whatever carries
+    # pass between slots.  By induction |coordinate j| <= bound[j]: on a
+    # free column bound is the core kernel's column maximum, and on a pivot
+    # column bound[p] = sum of |c| * bound[j].  Slots with every bound below
+    # 2^(W-1) therefore read each x[j] back exactly, once.
+    bound = dict(zip(free, map(max, zip(*[map(abs, v) for v in core_kernel]))))
+    for p, _, row in reversed(order):
+        bound[p] = sum(map(mul, map(abs, row.values()), map(bound.__getitem__, row)))
+    pack, unpack = _slots(_width(max(bound.values())), len(core_kernel))
+    x = dict(zip(free, map(pack, zip(*core_kernel))))
+    for p, unit, row in reversed(order):
+        x[p] = -unit * sum(map(mul, row.values(), map(x.__getitem__, row)))
+    return pivots, list(zip(*map(unpack, map(x.__getitem__, range(m.cols)))))
 
 
 def echelon(m: IntMatrix) -> Echelon:
@@ -405,19 +423,20 @@ def echelon(m: IntMatrix) -> Echelon:
     lattice = canonical_lattice(m.cols, generators)
     if lattice.rank != len(generators):
         raise InconsistencyError("kernel generators were not independent")
-    # Column j packs entry j of vector t into slot t, W bits wide, so slot t
-    # of a row's product is d_t = row . v_t, with |d_t| <= max|v| *
-    # ||row||_1 < 2^(W-2).  If the product were 0 with some d_t nonzero, the
-    # lowest such t would make d_t divisible by 2^W, which |d_t| < 2^W
-    # forbids; so the product is 0 exactly when every slot is.
-    top = max((max(map(abs, vector)) for vector in lattice.basis), default=0)
-    norm = max((sum(abs(c) for _, c in row) for row in m.sparse_rows), default=0)
-    width = (top * norm).bit_length() + 2
-    columns = [0] * m.cols
-    for vector in reversed(lattice.basis):  # Horner: vector t lands in slot t
-        columns = [(c << width) + v for c, v in zip(columns, vector)]
-    if any(sum(c * columns[j] for j, c in row) for row in m.sparse_rows):
-        raise InconsistencyError("computed kernel vector does not annihilate the matrix")
+    # Column j packs entry j of vector t into slot t (``_slots``, W bits), so
+    # a row's product is the sum of d_t * 2^(W t), d_t = row . v_t, with
+    # |d_t| <= max|v| * ||row||_1 < 2^(W-1); the same bound, with the norm
+    # taken as at least 1, holds every entry packed.  If the product were 0
+    # with some d_t nonzero, the lowest such t would make d_t divisible by
+    # 2^W, which |d_t| < 2^W forbids; so the product is 0 exactly when every
+    # slot is.
+    if lattice.basis:
+        top = max(map(abs, chain.from_iterable(lattice.basis)))
+        norm = max((sum(abs(c) for _, c in row) for row in m.sparse_rows), default=0)
+        pack, _ = _slots(_width(top * max(norm, 1)), lattice.rank)
+        columns = list(map(pack, zip(*lattice.basis)))
+        if any(sum(c * columns[j] for j, c in row) for row in m.sparse_rows):
+            raise InconsistencyError("computed kernel vector does not annihilate the matrix")
     return Echelon(pivots, lattice)
 
 

@@ -217,6 +217,21 @@ def test_bracket_at_the_weight_limit_within_the_default_recursion_limit():
         assert bracket_with_letter(x, "b") == reference_bracket(x, LieElement((0, 1), {"b": 1}))
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1"])
+def test_public_constructors_refuse_coefficients_that_are_not_ints(bad):
+    # A float or bool coefficient used to be kept: normalize of the
+    # expression returned 0.5[a], verification raised AttributeError, and
+    # the certificate record wrote "2.0" or "True", which loading refused.
+    with pytest.raises(TypeError, match="coefficients must be int"):
+        LieElement((1, 2), {"abb": bad})
+    with pytest.raises(TypeError, match="coefficients must be int"):
+        BracketExpr({Leaf("a"): bad})
+    with pytest.raises(TypeError, match="coefficients must be int"):
+        BracketExpr({Leaf("a"): 1, Node(Leaf("a"), Leaf("b")): bad})
+    assert LieElement((1, 2), {"abb": 2}).coeffs == {"abb": 2}
+    assert normalize(BracketExpr({Leaf("a"): 2})) == LieElement((1, 0), {"a": 2})
+
+
 def test_bracket_expr_constructor_checks_and_internal_results_drop_zeros():
     with pytest.raises(TypeError):
         BracketExpr({"ab": 1})

@@ -408,6 +408,15 @@ def test_three_a_kernel_ranks_match_the_closed_form_up_to_m_30():
         assert kernel_lattice(3, m).rank == kernel_dim_a3(m), m
 
 
+def test_mirrored_slices_have_equal_kernel_ranks_up_to_weight_30():
+    # The letter swap maps I_{l,k} onto I_{k,l}, so the ranks must agree,
+    # yet the package computes each side from its own Lyndon basis, pair
+    # matrix and elimination: two independent computations.
+    for k in range(5):
+        for l in range(max(k, 1), 31 - k):
+            assert kernel_lattice(k, l).rank == kernel_lattice(l, k).rank, (k, l)
+
+
 def test_verify_certificate_cases():
     good = IdentityCertificate(2, 2, engel(2), -bracket(engel(1), engel(0)))
     assert verify_certificate(good) and good.verified

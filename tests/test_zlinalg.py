@@ -148,15 +148,16 @@ def test_echelon_refuses_a_vector_off_the_kernel(monkeypatch, wrong, slot):
 
 
 def test_echelon_refuses_slots_that_cancel_across_the_packing(monkeypatch):
-    # Row . v_0 = 8 and row . v_1 = -1: with slots 3 bits wide, wide enough
-    # for the entries but not for the row's l1-norm 8, the packed product
-    # 8 - 1 * 2^3 would be 0.  The slot width counts the norm, so it is not.
+    # Row . v_0 = 2^64 and row . v_1 = -1: with 8-byte slots, wide enough
+    # for the entries (2^61) but not for the row's l1-norm 8 times them, the
+    # packed product 2^64 - 1 * 2^64 would be 0.  The slot width counts the
+    # norm, so it is not.
     m = IntMatrix([[1] * 8])
     real = zlinalg.canonical_lattice
 
     def spoiled(ambient, vectors):
         lat = real(ambient, vectors)
-        return KernelLattice(ambient, ((1,) * 8, (-1,) + (0,) * 7) + lat.basis[2:])
+        return KernelLattice(ambient, ((1 << 61,) * 8, (-1,) + (0,) * 7) + lat.basis[2:])
 
     monkeypatch.setattr(zlinalg, "canonical_lattice", spoiled)
     with pytest.raises(InconsistencyError, match="does not annihilate"):
@@ -250,8 +251,9 @@ def test_canonical_lattice_and_hnf_pass_match_the_dense_reference(case):
     assert _hnf_pass(rows, cols) == reference_hnf_pass(rows, cols)
 
 
-def test_back_reduction_widens_its_slots_when_a_row_needs_it(monkeypatch):
-    widths = []
+def recorded_widths(monkeypatch) -> list[int]:
+    """Record the slot width of every packer ``_slots`` hands out."""
+    widths: list[int] = []
     real = zlinalg._slots
 
     def recorded(width, n):
@@ -259,6 +261,11 @@ def test_back_reduction_widens_its_slots_when_a_row_needs_it(monkeypatch):
         return real(width, n)
 
     monkeypatch.setattr(zlinalg, "_slots", recorded)
+    return widths
+
+
+def test_back_reduction_widens_its_slots_when_a_row_needs_it(monkeypatch):
+    widths = recorded_widths(monkeypatch)
     # Row 1 takes q = 2 of row 2, a sum that fits 8-byte slots.  Row 0 takes
     # q = 2 of row 1, whose last entry is 2^80 - 2, and q = -1 of row 2: that
     # sum needs 11-byte slots.
@@ -267,6 +274,45 @@ def test_back_reduction_widens_its_slots_when_a_row_needs_it(monkeypatch):
     assert canonical_lattice(4, rows).basis == (
         (1, 1, 1, 5 - 2**81), (0, 2, 1, 2**80 - 2), (0, 0, 3, 1))
     assert widths == [8, 11] * 2
+
+
+@pytest.mark.parametrize(
+    "entries, widths",
+    [
+        # The unit pivot on column 0 back-substitutes 2^70 from the core's
+        # identity kernel on column 1: the generator is (2^70, 1).
+        ([[1, -(1 << 70)]], [9, 18]),
+        # Row 0 has no unit entry, so it is the core on columns 0 and 1,
+        # whose kernel (2^70 + 1, -2) passes 2^63 before any back-substitution.
+        ([[2, (1 << 70) + 1, 0], [0, 3, 1]], [9, 18]),
+    ],
+    ids=["back-substitution", "core"],
+)
+def test_every_packer_of_the_echelon_pass_widens_past_8_byte_slots(monkeypatch, entries, widths):
+    # The back-substitution takes 9-byte slots for entries up to 2^70 + 1,
+    # and the re-check 18-byte ones for about 2^140, the largest entry times
+    # the largest row l1-norm; the back-reduction has no quotient to take.
+    recorded = recorded_widths(monkeypatch)
+    m = IntMatrix(entries)
+    ech = echelon(m)
+    assert recorded == widths
+    assert ech.kernel == reference_echelon(m).kernel and ech.rank == reference_echelon(m).rank
+    assert max(map(abs, ech.kernel.basis[0])) > 1 << 63
+
+
+@pytest.mark.parametrize(
+    "entries, core",
+    [([[1, 0, 0], [0, -1, 0], [0, 0, 1]], (0, 0)), ([[2, 0], [1, 1]], (1, 1)), ([[3, 0], [0, 2]], (2, 2))],
+    ids=["units-only", "unit-then-core", "core-only"],
+)
+def test_a_kernel_of_rank_0_packs_nothing(monkeypatch, entries, core):
+    # An empty core kernel ends the pass before the back-substitution, and
+    # an empty basis skips the re-check: no packer is made.
+    shapes, widths = core_shapes(monkeypatch), recorded_widths(monkeypatch)
+    m = IntMatrix(entries)
+    ech = echelon(m)
+    assert (ech.rank, ech.kernel) == (m.rows, reference_echelon(m).kernel) and ech.kernel.rank == 0
+    assert (shapes, widths) == ([core], [])
 
 
 @pytest.mark.parametrize("width", [8, 9, 16])
@@ -333,6 +379,30 @@ def test_matrix_validation():
         IntMatrix.from_sparse([{5: 1, 0: 2}], cols=3)
     with pytest.raises(TypeError, match="matrix entries must be int"):
         IntMatrix.from_sparse([{0: 1, 2: 0.5}], cols=3)
+    # A bool entry used to be kept, and to_record wrote it as "True".
+    with pytest.raises(TypeError, match="matrix entries must be int, got True"):
+        IntMatrix([[True, 2]])
+    with pytest.raises(TypeError, match="matrix entries must be int, got False"):
+        IntMatrix.from_sparse([{1: False}], cols=2)
+
+
+@pytest.mark.parametrize(
+    "ambient, vectors",
+    [
+        (2, [[1, 3.0], [0, 2]]),  # raised AttributeError in the back-reduction
+        (3, [[2, 1, 7], [0, 2, 3.0]]),  # returned (0, 2, 3.0) in the canonical basis
+        (2, [[1, True]]),
+        (1, [(1,), (2.0,)]),  # the knock-down would clear the float row
+    ],
+)
+def test_canonical_lattice_refuses_entries_that_are_not_ints(ambient, vectors):
+    with pytest.raises(TypeError, match="lattice vector entries must be int"):
+        canonical_lattice(ambient, vectors)
+    ints = KernelLattice(ambient, ((1,) * ambient,))
+    with pytest.raises(TypeError, match="lattice vector entries must be int"):
+        lattice_equal(KernelLattice(ambient, tuple(map(tuple, vectors))), ints)
+    with pytest.raises(TypeError, match="lattice vector entries must be int"):
+        lattice_equal(ints, KernelLattice(ambient, tuple(map(tuple, vectors))))
 
 
 matrices = st.integers(min_value=1, max_value=8).flatmap(
